@@ -263,12 +263,6 @@ def cmd_grow(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rfim")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("RFIM_THREADS", "1")),
-        help="worker pool size hint; results are independent of it",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, fn, **kwargs):

@@ -6,14 +6,17 @@ error accounting and the whole-instance acceptance check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import max_degree
 from .model import IsingInstance, hamiltonian, influence_bound
-from .sawtree import (
-    CertificateReport,
+from .sawtree import CertificateReport, SawWalker
+
+# Unused here; kept importable because the perfbench tracer wraps these names
+# on this module.
+from .sawtree import (  # noqa: F401
     build_saw_tree,
     certified_truncation_error,
     root_marginal,
@@ -35,7 +38,6 @@ class CountResult:
     per_vertex_certified_error: list[float]
     total_certified_relative_error: float
     depth_used: int | None  # None = untruncated
-    certificate: CertificateReport | None = None
 
 
 @dataclass
@@ -81,8 +83,8 @@ def _min_distance(n: int, c1: float) -> int:
     return math.ceil(math.log(max(n, 2)) / c1)
 
 
-def _depth_schedule(inst: IsingInstance, eps: float, h0: float | None):
-    """Initial truncation depth and the h0 actually used."""
+def _depth_schedule(inst: IsingInstance, eps: float, h0: float | None) -> int:
+    """Initial truncation depth."""
     n = inst.graph.n
     delta = max_degree(inst.graph)
     if h0 is None:
@@ -92,7 +94,14 @@ def _depth_schedule(inst: IsingInstance, eps: float, h0: float | None):
         depth = max(2, math.ceil(math.log(4.0 * n / eps)))
     else:
         depth = choose_depth(n, eps, eps, c1, _min_distance(n, c1))
-    return depth, h0
+    return depth
+
+
+def _override_cut(depth_override: int | float, n: int) -> int | None:
+    """The cut depth for a forced depth; None (untruncated) for math.inf or
+    any depth a SAW tree on n vertices cannot reach."""
+    cut = None if math.isinf(depth_override) else int(depth_override)
+    return None if cut is not None and cut >= n else cut
 
 
 def _telescoping_pass(inst: IsingInstance, cut_depth: int | None):
@@ -101,14 +110,13 @@ def _telescoping_pass(inst: IsingInstance, cut_depth: int | None):
     Returns (chosen spins for all vertices, per-step log-ratio terms,
     per-step certified marginal errors) or raises CertifiedErrorTooLarge.
     """
+    walker = SawWalker(inst)
     boundary_now = dict(inst.boundary)
     log_r = []
     step_errs = []
     for v in inst.free_vertices:
-        sub = replace(inst, boundary=boundary_now)
-        tree = build_saw_tree(inst.graph, sub, v, cut_depth)
-        p = root_marginal(tree, inst.beta)
-        e = certified_truncation_error(tree, inst.beta) if cut_depth is not None else 0.0
+        res = walker.walk(v, boundary_now, cut_depth)
+        p, e = res.marginal, res.error
         if e >= STEP_ERROR_LIMIT:
             raise CertifiedErrorTooLarge(
                 f"certified marginal error {e:.3g} >= {STEP_ERROR_LIMIT} at vertex {v}"
@@ -145,19 +153,17 @@ def approx_partition(
         max_depth = n  # SAW walks have < n free levels, so depth n is exact
 
     if depth_override is not None:
-        cut = None if math.isinf(depth_override) else int(depth_override)
-        if cut is not None and cut >= n:
-            cut = None
+        cut = _override_cut(depth_override, n)
         config, log_r, step_errs = _telescoping_pass(inst, cut)
-        return _finish_count(inst, config, log_r, step_errs, cut, h0)
+        return _finish_count(inst, config, log_r, step_errs, cut)
 
-    depth, h0 = _depth_schedule(inst, eps, h0)
+    depth = _depth_schedule(inst, eps, h0)
     while True:
         cut = None if depth >= n else depth
         try:
             config, log_r, step_errs = _telescoping_pass(inst, cut)
             if cut is None or sum(step_errs) <= eps:
-                return _finish_count(inst, config, log_r, step_errs, cut, h0)
+                return _finish_count(inst, config, log_r, step_errs, cut)
         except CertifiedErrorTooLarge:
             if cut is None:
                 raise
@@ -168,20 +174,13 @@ def approx_partition(
         depth *= 2
 
 
-def _finish_count(inst, config, log_r, step_errs, cut, h0):
+def _finish_count(inst, config, log_r, step_errs, cut):
     log_z = -hamiltonian(inst, config) + sum(log_r)
-    cert = None
-    if h0 is not None:
-        delta = max_degree(inst.graph)
-        tree = build_saw_tree(inst.graph, inst, inst.free_vertices[0], cut) if inst.free_vertices else None
-        if tree is not None:
-            cert = ssm_certificate(tree, h0, inst.beta, delta)
     return CountResult(
         log_z_estimate=float(log_z),
         per_vertex_certified_error=step_errs,
         total_certified_relative_error=float(sum(step_errs)),
         depth_used=cut,
-        certificate=cert,
     )
 
 
@@ -210,36 +209,47 @@ def sample_many(
     """Draw `count` configurations, sharing a marginal cache across draws.
 
     The conditional marginal at each step depends only on the spins already
-    fixed, so repeated draws reuse each other's tree evaluations.
+    fixed, so repeated draws reuse each other's tree evaluations.  The cut
+    depth depends only on the instance, so it is chosen once for all draws.
     Returns an array of shape (count, n).
     """
     rng = np.random.default_rng(seed)
+    walker = SawWalker(inst)
+    cut = _sample_cut(inst, eps, walker, depth_override, None)
     cache: dict = {}
     out = np.empty((count, inst.graph.n), dtype=int)
     for i in range(count):
-        res = _sample_with(inst, eps, rng, depth_override, None, cache)
-        out[i] = res.config
+        out[i] = _draw(inst, walker, cut, rng, cache).config
     return out
 
 
 def _sample_with(inst, eps, rng, depth_override, h0, cache):
+    walker = SawWalker(inst)
+    cut = _sample_cut(inst, eps, walker, depth_override, h0)
+    return _draw(inst, walker, cut, rng, cache)
+
+
+def _sample_cut(inst, eps, walker, depth_override, h0) -> int | None:
+    """The sampler's cut depth: the forced depth, or the scheduled depth
+    doubled until the certified TV budget fits.  Draws no random numbers."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
     n = inst.graph.n
     if depth_override is not None:
-        cut = None if math.isinf(depth_override) else int(depth_override)
-        if cut is not None and cut >= n:
-            cut = None
-    else:
-        depth, h0 = _depth_schedule(inst, eps, h0)
-        cut = None if depth >= n else depth
-        # widen until the certified TV budget fits; structure only, no draws
-        while cut is not None:
-            errs = _certified_step_errors(inst, cut)
-            if errs is not None and sum(errs) <= eps:
-                break
-            cut = None if 2 * cut >= n else 2 * cut
+        return _override_cut(depth_override, n)
+    depth = _depth_schedule(inst, eps, h0)
+    cut = None if depth >= n else depth
+    while cut is not None:
+        errs = _certified_step_errors(inst, walker, cut)
+        if errs is not None and sum(errs) <= eps:
+            break
+        cut = None if 2 * cut >= n else 2 * cut
+    return cut
 
+
+def _draw(inst, walker, cut, rng, cache) -> SampleResult:
+    """One sequential draw at cut depth `cut`; `cache` (or None) maps
+    (vertex, spins fixed so far) to that step's (marginal, certified error)."""
     boundary_now = dict(inst.boundary)
     step_errs = []
     prefix: list[int] = []
@@ -247,10 +257,8 @@ def _sample_with(inst, eps, rng, depth_override, h0, cache):
         key = (v, tuple(prefix))
         hit = cache.get(key) if cache is not None else None
         if hit is None:
-            sub = replace(inst, boundary=boundary_now)
-            tree = build_saw_tree(inst.graph, sub, v, cut)
-            p = root_marginal(tree, inst.beta)
-            e = certified_truncation_error(tree, inst.beta) if cut is not None else 0.0
+            res = walker.walk(v, boundary_now, cut)
+            p, e = res.marginal, res.error
             if cache is not None:
                 cache[key] = (p, e)
         else:
@@ -259,11 +267,11 @@ def _sample_with(inst, eps, rng, depth_override, h0, cache):
         step_errs.append(e)
         boundary_now[v] = spin
         prefix.append(spin)
-    config = np.array([boundary_now[v] for v in range(n)], dtype=int)
+    config = np.array([boundary_now[v] for v in range(inst.graph.n)], dtype=int)
     return SampleResult(config=config, depth_used=cut, per_vertex_certified_error=step_errs)
 
 
-def _certified_step_errors(inst: IsingInstance, cut: int) -> list[float] | None:
+def _certified_step_errors(inst: IsingInstance, walker: SawWalker, cut: int) -> list[float] | None:
     """Worst-case per-vertex certified errors with only the original boundary.
 
     Conservative for the sequential pass: extending the boundary only prunes
@@ -271,8 +279,7 @@ def _certified_step_errors(inst: IsingInstance, cut: int) -> list[float] | None:
     """
     errs = []
     for v in inst.free_vertices:
-        tree = build_saw_tree(inst.graph, inst, v, cut)
-        e = certified_truncation_error(tree, inst.beta)
+        e = walker.walk(v, inst.boundary, cut).error
         if e >= STEP_ERROR_LIMIT:
             return None
         errs.append(e)
@@ -282,7 +289,7 @@ def _certified_step_errors(inst: IsingInstance, cut: int) -> list[float] | None:
 def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> CertificateReport:
     """Per-instance acceptance certificate for the counting run.
 
-    Builds each vertex's SAW tree at the depth the counter would use, checks
+    Walks each vertex's SAW tree at the depth the counter would use, checks
     the strong-spatial-mixing certificate, and aggregates per-vertex certified
     errors through the worst-case composition e/(1/2 - e).  Accepts exactly
     when the aggregate is at most eps.
@@ -307,14 +314,13 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     depth = choose_depth(n, eps, eps, c1, _min_distance(n, c1))
     cut = None if depth >= n else depth
 
+    walker = SawWalker(inst, h0)
     per_vertex = []
     paths_ok_all = True
     for v in inst.free_vertices:
-        tree = build_saw_tree(inst.graph, inst, v, cut)
-        e = certified_truncation_error(tree, inst.beta) if cut is not None else 0.0
-        per_vertex.append(e)
-        cert = ssm_certificate(tree, h0, inst.beta, delta)
-        paths_ok_all = paths_ok_all and cert.paths_ok
+        res = walker.walk(v, inst.boundary, cut)
+        per_vertex.append(res.error)
+        paths_ok_all = paths_ok_all and res.paths_ok
 
     if any(e >= STEP_ERROR_LIMIT for e in per_vertex):
         total = math.inf

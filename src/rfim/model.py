@@ -8,6 +8,7 @@ e^{2h} overflow in linear space.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -48,6 +49,11 @@ class IsingInstance:
         h = np.asarray(self.fields, dtype=float)
         if h.shape != (self.graph.n,):
             raise ValueError(f"fields must have one entry per vertex (got {h.shape})")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
+        if not np.all(np.isfinite(h)):
+            bad = int(np.flatnonzero(~np.isfinite(h))[0])
+            raise ValueError(f"field at vertex {bad} must be finite, got {h[bad]}")
         object.__setattr__(self, "fields", h)
         for v, s in self.boundary.items():
             if not 0 <= v < self.graph.n:

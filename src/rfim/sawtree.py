@@ -5,17 +5,174 @@ A node of the tree is a self-avoiding walk in the graph.  Three kinds of
 leaves carry a fixed spin: cycle-closing leaves (spin set by the incident-edge
 order at the revisited vertex), boundary vertices (spin copied from the
 instance boundary), and truncation-frontier nodes (spin set by policy).
+
+`SawWalker` computes everything the counting layer needs from one
+depth-first walk that keeps only the walk stack.  `build_saw_tree` and the
+functions that take a `SawTree` build the tree in memory and evaluate it in
+separate passes; they are the reference the walker is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import Graph
 from .model import IsingInstance, influence_bound
+
+
+def _sigmoid(x: float) -> float:
+    """1 / (1 + e^-x), without overflow for any x including +-inf."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def _child_term(x: float, b2: float) -> float:
+    """A free child's term in its parent's log-odds, from its log-odds x:
+    log((e^{2b} q + 1-q)/(q + e^{2b}(1-q))) with q = sigmoid(x) and b2 = 2b,
+    which is logaddexp(b2 + x, 0) - logaddexp(x, b2)."""
+    y = x + b2
+    return (max(y, 0.0) + math.log1p(math.exp(-abs(y)))
+            - max(x, b2) - math.log1p(math.exp(-abs(x - b2))))
+
+
+class SawWalk(NamedTuple):
+    """Root quantities of one truncated SAW tree, from a single walk.
+
+    `log_odds` and `error` equal `root_log_odds` and
+    `certified_truncation_error` on the built tree, `node_count` its
+    `node_count`, and `paths_ok` the path rule of `ssm_certificate` (None
+    when the walker was made without h0).
+    """
+
+    log_odds: float
+    error: float
+    node_count: int
+    paths_ok: bool | None
+
+    @property
+    def marginal(self) -> float:
+        """P(sigma_root = +1)."""
+        return _sigmoid(self.log_odds)
+
+
+class SawWalker:
+    """Single-pass evaluation of SAW trees of one instance's graph, fields
+    and beta; the boundary is given per walk.
+
+    An expanded node's tree degree equals its graph degree (the root has no
+    parent, every other node has all neighbours but its parent as children),
+    so its influence bound M_v = influence_bound(deg v, h_v, beta) is
+    computed once here rather than once per node.
+    """
+
+    def __init__(self, inst: IsingInstance, h0: float | None = None):
+        g = inst.graph
+        h = [float(x) for x in inst.fields]
+        self.n = g.n
+        self.adjacency = g.adjacency
+        self.b2 = 2.0 * inst.beta
+        self.h2 = [2.0 * x for x in h]
+        self.influence = [influence_bound(g.degree(v), h[v], inst.beta) for v in range(g.n)]
+        self.h0 = h0
+        # a vertex counts as large when |h| >= h0; without h0 all do, so the
+        # path rule never fails and is reported as None
+        self.large = [1] * g.n if h0 is None else [int(abs(x) >= h0) for x in h]
+
+    def walk(
+        self,
+        root: int,
+        boundary: dict[int, int],
+        cut_depth: int | None = None,
+    ) -> SawWalk:
+        """Walk the tree `build_saw_tree` would build for these arguments,
+        with frontier leaves fixed to +1.
+
+        Iterative depth-first walk in tree order.  Each expanded node keeps a
+        frame (vertex, parent, neighbour iterator, running log-odds, influence
+        product down to it, free and large counts on its path); a node's
+        log-odds is final when its neighbours are exhausted and is then
+        folded into its parent's.  The certified error sums, over frontier
+        leaves, the influence products of their expanded ancestors.
+        """
+        if not 0 <= root < self.n:
+            raise IndexError(f"root {root} out of range")
+        if cut_depth is not None and cut_depth < 0:
+            raise ValueError("cut_depth must be >= 0")
+        paths_ok = True if self.h0 is not None else None
+        if root in boundary:
+            return SawWalk(math.inf if boundary[root] == 1 else -math.inf, 0.0, 1, paths_ok)
+        if cut_depth == 0:
+            return SawWalk(math.inf, 1.0, 1, paths_ok)
+
+        adjacency, influence, large = self.adjacency, self.influence, self.large
+        h2, b2 = self.h2, self.b2
+        # a SAW has fewer than n edges, so an untruncated walk never reaches n
+        last = self.n if cut_depth is None else cut_depth - 1
+        child_term = _child_term
+
+        path = [root] * self.n  # path[d] = vertex at depth d on the current walk
+        pos = [-1] * self.n  # pos[w] = depth of w on the current walk, or -1
+        pos[root] = 0
+        frames = []
+        count = 1
+        total = 0.0
+        short = False  # some frontier path has under half its free vertices large
+
+        v, parent, depth = root, -1, 0
+        it = iter(adjacency[root])
+        acc = h2[root]
+        prod = influence[root]
+        n_free, n_large = 1, large[root]
+        while True:
+            for w in it:
+                if w == parent:
+                    continue
+                count += 1
+                j = pos[w]
+                if j >= 0:
+                    # cycle-closing leaf: +1 when the closing edge (w, v) comes
+                    # after the starting edge (w, path[j+1]) at w
+                    acc += b2 if v > path[j + 1] else -b2
+                    continue
+                s = boundary.get(w)
+                if s is not None:
+                    acc += b2 * s
+                elif depth == last:
+                    total += prod
+                    short = short or 2 * n_large < n_free
+                    acc += b2  # frontier leaf, fixed to +1
+                else:
+                    frames.append((v, parent, it, acc, prod, n_free, n_large))
+                    parent, v = v, w
+                    depth += 1
+                    path[depth] = w
+                    pos[w] = depth
+                    it = iter(adjacency[w])
+                    acc = h2[w]
+                    prod *= influence[w]
+                    n_free += 1
+                    n_large += large[w]
+                    break
+            else:
+                if not frames:
+                    break
+                # v is done: fold its log-odds into its parent's
+                term = child_term(acc, b2)
+                pos[v] = -1
+                depth -= 1
+                v, parent, it, acc, prod, n_free, n_large = frames.pop()
+                acc += term
+
+        error = 0.0 if cut_depth is None else min(total, 1.0)
+        if paths_ok is not None:
+            paths_ok = not short
+        return SawWalk(acc, error, count, paths_ok)
 
 
 @dataclass

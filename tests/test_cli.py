@@ -102,6 +102,18 @@ def test_input_errors_exit_one(tmp_path):
     assert run_cli("no-such-command").returncode == 1
 
 
+def test_non_finite_field_exits_one(triangle_instance, tmp_path):
+    inst, _ = triangle_instance
+    obj = M.to_json_dict(inst)
+    obj["fields"][1] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))  # json writes the NaN token, and reads it back
+    res = run_cli("count", "--instance", str(path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "finite" in res.stderr
+
+
 def test_byte_determinism(triangle_instance):
     _, path = triangle_instance
     for args in (

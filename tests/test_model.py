@@ -15,6 +15,20 @@ def edge_instance(beta=1.0, h=(0.0, 0.0), boundary=None):
     return IsingInstance(Graph.from_edges(2, [(0, 1)]), beta, np.array(h), boundary or {})
 
 
+def test_instance_rejects_non_finite_inputs():
+    g = Graph.from_edges(2, [(0, 1)])
+    for beta, h in (
+        (math.nan, [0.0, 0.0]),
+        (math.inf, [0.0, 0.0]),
+        (-math.inf, [0.0, 0.0]),
+        (1.0, [0.0, math.nan]),
+        (1.0, [math.inf, 0.0]),
+        (1.0, [0.0, -math.inf]),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            IsingInstance(g, beta, np.array(h))
+
+
 def brute_log_z(inst):
     """Independent oracle: direct sum over configurations in linear space."""
     n = inst.graph.n

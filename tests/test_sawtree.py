@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rfim.graph import Graph
+from rfim.graph import Graph, max_degree
 from rfim.model import IsingInstance, exact_marginal, influence_bound
 from rfim.sawtree import (
+    SawWalker,
     build_saw_tree,
     certified_truncation_error,
     dump,
+    root_log_odds,
     root_marginal,
     ssm_certificate,
 )
@@ -219,6 +223,7 @@ def test_ssm_certificate_half_rule():
     assert rep.influence_ok
     assert rep.paths_ok  # 1 of 2 free path vertices is large: exactly half
     assert rep.accepted
+    assert_walk_matches_tree(inst, 0, 2, 5.0)
 
 
 def test_deep_path_no_recursion_limit():
@@ -228,3 +233,59 @@ def test_deep_path_no_recursion_limit():
     tree = build_saw_tree(g, inst, 0)
     assert tree.node_count == n
     assert 0.0 < root_marginal(tree, 0.5) < 1.0
+
+
+def assert_walk_matches_tree(inst, root, cut, h0):
+    """The walker's one pass equals the reference tree's separate passes."""
+    g, beta = inst.graph, inst.beta
+    tree = build_saw_tree(g, inst, root, cut)
+    res = SawWalker(inst, h0).walk(root, inst.boundary, cut)
+    expected = root_log_odds(tree, beta)
+    if math.isinf(expected):
+        assert res.log_odds == expected
+    else:
+        assert res.log_odds == pytest.approx(expected, rel=0, abs=1e-12)
+    assert res.marginal == pytest.approx(root_marginal(tree, beta), rel=0, abs=1e-12)
+    # the same products summed in another order
+    assert res.error == pytest.approx(certified_truncation_error(tree, beta), rel=1e-12, abs=0)
+    assert res.node_count == tree.node_count
+    assert res.paths_ok == ssm_certificate(tree, h0, beta, max_degree(g)).paths_ok
+
+
+@st.composite
+def walk_cases(draw):
+    n = draw(st.integers(1, 9))
+    # random spanning tree (vertex i hangs off an earlier vertex) plus extra edges
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges |= {(min(a, b), max(a, b)) for a, b in draw(st.lists(pairs, max_size=6)) if a != b}
+    g = Graph.from_edges(n, edges)
+    finite = {"allow_nan": False, "allow_infinity": False}
+    beta = draw(st.floats(-2.0, 2.0, **finite))
+    h = draw(st.lists(st.floats(-5.0, 5.0, **finite), min_size=n, max_size=n))
+    spins = st.sampled_from([-1, 1])
+    boundary = draw(st.dictionaries(st.integers(0, n - 1), spins, max_size=n // 2))
+    inst = IsingInstance(g, beta, np.array(h), boundary)
+    root = draw(st.integers(0, n - 1))
+    cut = draw(st.integers(0, n))  # a cut at n truncates nothing, like None
+    if cut == n and draw(st.booleans()):
+        cut = None
+    h0 = draw(st.sampled_from(sorted(abs(x) for x in h)))  # |h| = h0 counts as large
+    return inst, root, cut, h0
+
+
+@settings(max_examples=400, deadline=None)
+@given(walk_cases())
+def test_walker_matches_tree_oracle(case):
+    assert_walk_matches_tree(*case)
+
+
+def test_walker_untruncated_deep_path(rng):
+    # an untruncated walk from the end of a path is n-1 levels deep, far past
+    # Python's recursion limit
+    n = 3000
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    inst = IsingInstance(g, 0.5, rng.uniform(-1, 1, n))
+    for root in (0, n // 3):
+        assert_walk_matches_tree(inst, root, None, 0.5)
