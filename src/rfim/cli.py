@@ -1,8 +1,10 @@
 """Command-line surface: JSON on stdout, diagnostics on stderr.
 
 Exit codes: 0 success, 1 input error, 2 rejection by `check`, 3 no mixing
-guarantee from `glauber`.  Every output embeds the run manifest; re-running
-the same manifest reproduces the output byte for byte.
+guarantee from `glauber`, 4 certified error too large (`count` cannot
+certify its estimate at the forced or the largest depth).  Every output
+embeds the run manifest; re-running the same manifest reproduces the output
+byte for byte.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_REJECTED = 2
 EXIT_NO_GUARANTEE = 3
+EXIT_ERROR_TOO_LARGE = 4
 
 
 class InputError(Exception):
@@ -335,9 +338,12 @@ def cli_dispatch(argv: list[str]) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, model.EnumerationTooLarge, counting.CertifiedErrorTooLarge) as e:
+    except (ValueError, model.EnumerationTooLarge) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except counting.CertifiedErrorTooLarge as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR_TOO_LARGE
 
 
 def main() -> None:

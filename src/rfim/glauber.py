@@ -4,7 +4,6 @@ mixing-time bound, plus the coupled-chain drift experiment."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -12,38 +11,14 @@ from scipy.special import expit
 from .graph import max_degree
 from .model import IsingInstance, influence_bound
 
-
-@dataclass
-class ChainState:
-    config: np.ndarray
-    steps_taken: int
-    rng: np.random.Generator
-
-
-def start_state(inst: IsingInstance, seed: int, init_spin: int = +1) -> ChainState:
-    config = np.full(inst.graph.n, init_spin, dtype=int)
-    for v, s in inst.boundary.items():
-        config[v] = s
-    return ChainState(config=config, steps_taken=0, rng=np.random.default_rng(seed))
+#: Most updates one chain draws from the generator at once.
+_DRAW_BLOCK = 1 << 16
 
 
 def conditional_plus_probability(inst: IsingInstance, config: np.ndarray, x: int) -> float:
     """Exact Gibbs conditional P(sigma_x = +1 | neighbor spins)."""
     neigh_sum = sum(config[y] for y in inst.graph.adjacency[x])
     return float(expit(2.0 * inst.fields[x] + 2.0 * inst.beta * neigh_sum))
-
-
-def glauber_step(state: ChainState, inst: IsingInstance) -> ChainState:
-    """One update: resample a uniformly chosen free vertex from its exact
-    conditional given its neighbors."""
-    free = inst.free_vertices
-    if not free:
-        raise ValueError("no free vertex to update")
-    x = free[int(state.rng.integers(len(free)))]
-    p = conditional_plus_probability(inst, state.config, x)
-    config = state.config.copy()
-    config[x] = +1 if state.rng.random() < p else -1
-    return ChainState(config=config, steps_taken=state.steps_taken + 1, rng=state.rng)
 
 
 def mixing_time_bound(n: int, delta: int, beta: float, h_min: float, eps: float) -> int | None:
@@ -61,9 +36,8 @@ def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> np.ndarray | N
     """Run the chain from the all-(+1) start for the certified number of steps;
     None when no mixing guarantee exists."""
     free = inst.free_vertices
-    state = start_state(inst, seed)
     if not free:
-        return state.config
+        return np.array([inst.boundary[v] for v in range(inst.graph.n)])
     h_min = float(np.min(np.abs(inst.fields[free])))
     steps = mixing_time_bound(inst.graph.n, max_degree(inst.graph), inst.beta, h_min, eps)
     if steps is None:
@@ -76,33 +50,71 @@ def run_chain(inst: IsingInstance, steps: int, seed: int, init_spin: int = +1) -
     return run_chains(inst, steps, 1, seed, init_spin)[0]
 
 
+def _conditional_table(inst: IsingInstance) -> tuple[list[float], list[int]]:
+    """Every heat-bath conditional of the instance, O(n + m) entries.
+
+    P(sigma_x = +1 | neighbor spin sum s) is table[centre[x] + s] for s in
+    [-deg x, deg x], computed with the expression of
+    `conditional_plus_probability`, so both agree bit for bit.
+    """
+    deg = np.array([len(a) for a in inst.graph.adjacency], dtype=np.intp)
+    width = 2 * deg + 1
+    centre = np.cumsum(width) - width + deg
+    owner = np.repeat(np.arange(inst.graph.n), width)
+    s = np.arange(len(owner)) - centre[owner]
+    table = expit(2.0 * inst.fields[owner] + 2.0 * inst.beta * s)
+    return table.tolist(), centre.tolist()
+
+
 def run_chains(
     inst: IsingInstance, steps: int, n_chains: int, seed: int, init_spin: int = +1
 ) -> np.ndarray:
-    """Run independent chains in lockstep, vectorized across chains.
+    """Final configurations of `n_chains` independent heat-bath chains, each
+    started from `init_spin` on every free vertex and run for `steps` updates.
 
-    All chains draw from one generator in a fixed interleaving, so the
-    result is deterministic given (seed, steps, n_chains).
+    The chains run one after another from one generator seeded with `seed`.
+    A chain draws its updates in blocks of at most 2**16: a block of m
+    updates is `rng.integers(len(free), size=m)` (indices into the free
+    vertices) followed by `rng.random(m)` (the chosen vertex becomes +1 when
+    its uniform lies below its conditional probability of +1).  The result is
+    deterministic given (seed, steps, n_chains), and chain i does not depend
+    on n_chains, so `run_chains(inst, s, k, seed)[0] == run_chain(inst, s,
+    seed)`.  This stream differs from the lockstep interleaving of versions
+    before it, so their outputs are not reproduced.
+
+    An update costs O(deg x); memory is O(n + m + n_chains * n).
     """
-    rng = np.random.default_rng(seed)
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    if n_chains < 0:
+        raise ValueError(f"n_chains must be >= 0, got {n_chains}")
+    if init_spin not in (-1, 1):
+        raise ValueError(f"init_spin must be +-1, got {init_spin}")
     n = inst.graph.n
-    free = np.array(inst.free_vertices, dtype=int)
-    configs = np.full((n_chains, n), init_spin, dtype=np.int8)
+    start = [init_spin] * n
     for v, s in inst.boundary.items():
-        configs[:, v] = s
+        start[v] = s
+    configs = np.empty((n_chains, n), dtype=int)
+    configs[:] = start
+    free = np.array(inst.free_vertices, dtype=np.intp)
     if len(free) == 0 or steps == 0:
-        return configs.astype(int)
-    adj = np.zeros((n, n))
-    for a in range(n):
-        for b in inst.graph.adjacency[a]:
-            adj[a, b] = 1.0
-    rows = np.arange(n_chains)
-    for _ in range(steps):
-        xs = free[rng.integers(len(free), size=n_chains)]
-        neigh_sum = np.einsum("rn,rn->r", configs, adj[xs])
-        p = expit(2.0 * inst.fields[xs] + 2.0 * inst.beta * neigh_sum)
-        configs[rows, xs] = np.where(rng.random(n_chains) < p, 1, -1)
-    return configs.astype(int)
+        return configs
+    adjacency = inst.graph.adjacency
+    table, centre = _conditional_table(inst)
+    rng = np.random.default_rng(seed)
+    for c in range(n_chains):
+        config = start.copy()
+        for done in range(0, steps, _DRAW_BLOCK):
+            m = min(_DRAW_BLOCK, steps - done)
+            xs = free[rng.integers(len(free), size=m)].tolist()
+            us = rng.random(m).tolist()
+            for x, u in zip(xs, us):
+                t = centre[x]
+                for y in adjacency[x]:
+                    t += config[y]
+                config[x] = 1 if u < table[t] else -1
+        configs[c] = config
+    return configs
 
 
 def coupled_drift_estimate(

@@ -7,6 +7,7 @@ e^{2h} overflow in linear space.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -175,15 +176,25 @@ def exact_region_law(
     for v in region:
         if v not in pos:
             raise ValueError(f"region vertex {v} is not free")
-    cols = [pos[v] for v in region]
-    acc: dict[tuple[int, ...], list] = {}
-    for _, spins, logw in _enumerate_log_weights(inst, free):
-        keys = spins[:, cols]
-        for key in {tuple(row) for row in keys}:
-            mask = np.all(keys == key, axis=1)
-            acc.setdefault(key, []).append(logsumexp(logw[mask]))
-    log_z = logsumexp([x for parts in acc.values() for x in parts])
-    return {key: float(np.exp(logsumexp(parts) - log_z)) for key, parts in acc.items()}
+    cols = np.array([pos[v] for v in region], dtype=np.int64)
+    r = len(region)
+    # per region code (bit j set when region[j] is +1): whether it occurs, and
+    # its weight relative to exp(scale), the largest log-weight seen so far
+    occurs = np.zeros(1 << r, dtype=bool)
+    weight = np.zeros(1 << r)
+    scale = -math.inf
+    for idx, _, logw in _enumerate_log_weights(inst, free):
+        codes = (((idx[:, None] >> cols) & 1) << np.arange(r)).sum(axis=1)
+        occurs[codes] = True
+        top = float(logw.max())
+        if top > scale:
+            weight *= math.exp(scale - top)
+            scale = top
+        weight += np.bincount(codes, weights=np.exp(logw - scale), minlength=1 << r)
+    prob = weight / weight.sum()
+    # product() varies its last entry fastest; reversed, entry j follows bit j
+    keys = (spins[::-1] for spins in itertools.product((-1, 1), repeat=r))
+    return {key: p for key, p, seen in zip(keys, prob.tolist(), occurs.tolist()) if seen}
 
 
 def influence_bound(delta: float, h: float, beta: float) -> float:

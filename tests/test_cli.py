@@ -94,6 +94,15 @@ def test_glauber_exit_codes(tmp_path):
     assert len(config) == 4 and set(config) <= {-1, 1}
 
 
+def test_count_error_too_large_exits_four(tmp_path):
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    path = tmp_path / "hot.json"
+    M.save(IsingInstance(g, 2.0, np.zeros(3)), str(path))
+    res = run_cli("count", "--instance", str(path), "--depth", "1")
+    assert res.returncode == 4
+    assert res.stdout == "" and "certified" in res.stderr
+
+
 def test_input_errors_exit_one(tmp_path):
     assert run_cli("exact", "--instance", str(tmp_path / "missing.json")).returncode == 1
     bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from rfim.glauber import (
     conditional_plus_probability,
     coupled_drift_estimate,
     glauber_sample,
-    glauber_step,
     mixing_time_bound,
+    run_chain,
     run_chains,
-    start_state,
 )
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_marginal, exact_region_law
@@ -39,24 +39,21 @@ def test_conditional_is_gibbs_conditional(rng):
 
 def test_step_examples():
     lone = IsingInstance(Graph.from_edges(1, []), 1.0, np.zeros(1))
-    hits = 0
-    state = start_state(lone, 5)
-    for _ in range(2000):
-        state = glauber_step(state, lone)
-        hits += state.config[0] == 1
-    assert abs(hits / 2000 - 0.5) < 0.05
+    finals = run_chains(lone, 1, 2000, seed=5)
+    assert abs(np.mean(finals[:, 0] == 1) - 0.5) < 0.05
 
     # strong coupling with +1 neighbors pins the update
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     inst = IsingInstance(star, 30.0, np.zeros(4), {1: 1, 2: 1, 3: 1})
     assert conditional_plus_probability(inst, np.array([1, 1, 1, 1]), 0) == pytest.approx(1.0)
+    assert np.all(run_chains(inst, 20, 50, seed=5, init_spin=-1) == 1)
 
 
-def test_step_requires_free_vertex():
+def test_all_fixed_returns_boundary():
     g = Graph.from_edges(2, [(0, 1)])
-    inst = IsingInstance(g, 1.0, np.zeros(2), {0: 1, 1: 1})
-    with pytest.raises(ValueError):
-        glauber_step(start_state(inst, 0), inst)
+    inst = IsingInstance(g, 1.0, np.zeros(2), {0: 1, 1: -1})
+    finals = run_chains(inst, 10, 3, seed=0)
+    assert finals.tolist() == [[1, -1]] * 3
 
 
 def test_mixing_bound_beta_zero():
@@ -115,6 +112,60 @@ def test_run_chains_respects_boundary():
     inst = IsingInstance(g, 1.0, np.zeros(3), {1: -1})
     finals = run_chains(inst, 50, 16, seed=2)
     assert np.all(finals[:, 1] == -1)
+
+
+def test_run_chains_rejects_bad_arguments():
+    inst = IsingInstance(TRIANGLE, 0.5, np.zeros(3))
+    for kwargs in ({"steps": -5}, {"n_chains": -1}, {"init_spin": 0}, {"init_spin": 7}):
+        args = {"steps": 10, "n_chains": 2, "seed": 0, **kwargs}
+        with pytest.raises(ValueError):
+            run_chains(inst, **args)
+
+
+def test_first_chain_independent_of_chain_count(rng):
+    g = random_connected_graph(7, rng)
+    inst = IsingInstance(g, 0.2, np.zeros(7), {3: -1})
+    single = run_chain(inst, 200, seed=11)
+    for k in (1, 3):
+        assert np.array_equal(run_chains(inst, 200, k, seed=11)[0], single)
+
+
+def test_run_chains_matches_reference_replay(rng, monkeypatch):
+    # a small draw block forces several blocks per chain; the replay below is
+    # the documented stream driven through conditional_plus_probability
+    monkeypatch.setattr(GL, "_DRAW_BLOCK", 7)
+    for _ in range(5):
+        n = int(rng.integers(2, 9))
+        g = random_connected_graph(n, rng)
+        inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n), {0: 1})
+        steps, chains, seed = 30, 3, int(rng.integers(1000))
+        got = run_chains(inst, steps, chains, seed, init_spin=-1)
+        ref_rng = np.random.default_rng(seed)
+        free = inst.free_vertices
+        for c in range(chains):
+            config = np.full(n, -1)
+            config[0] = 1
+            for done in range(0, steps, 7):
+                m = min(7, steps - done)
+                xs = ref_rng.integers(len(free), size=m)
+                us = ref_rng.random(m)
+                for i, u in zip(xs, us):
+                    x = free[i]
+                    config[x] = 1 if u < conditional_plus_probability(inst, config, x) else -1
+            assert got[c].tolist() == config.tolist()
+
+
+def test_run_chains_memory_linear():
+    # a dense n x n adjacency alone would take 128 MB here
+    n = 4000
+    inst = IsingInstance(Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]), 0.5, np.zeros(n))
+    tracemalloc.start()
+    try:
+        run_chains(inst, 300, 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_coupled_drift_contracts_under_large_fields(rng):

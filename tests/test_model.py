@@ -197,6 +197,23 @@ def test_boundary_influence_bounded_by_M(rng):
         assert max(conds) - min(conds) <= bound + 1e-12
 
 
+def test_region_law_over_all_free_vertices(rng):
+    n = 14
+    g = random_connected_graph(n, rng, extra_edges=6)
+    inst = IsingInstance(g, 0.7, rng.uniform(-1.5, 1.5, n), {4: 1, 9: -1})
+    region = [int(v) for v in rng.permutation(inst.free_vertices)]
+    assert len(region) == 12
+    law = M.exact_region_law(inst, region)
+    log_z = exact_partition(inst)
+    assert len(law) == 2**12
+    for key, p in law.items():
+        assert type(key) is tuple and all(type(s) is int for s in key)
+        spins = np.empty(n, dtype=int)
+        spins[region] = key
+        spins[[4, 9]] = [1, -1]
+        assert p == pytest.approx(math.exp(-hamiltonian(inst, spins) - log_z), abs=1e-12)
+
+
 def test_instance_json_round_trip(tmp_path, rng):
     g = random_connected_graph(5, rng)
     inst = IsingInstance(g, -0.4, rng.uniform(-1, 1, 5), {2: -1})
