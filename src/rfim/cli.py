@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input error, 2 rejection by `check`, 3 no mixing
 guarantee from `glauber`, 4 certified error too large (`count` cannot
-certify its estimate at the forced or the largest depth).  Every output
+certify its estimate at a forced `--depth`; without one, the depth schedule
+ends with the exact untruncated pass).  Every output
 embeds the run manifest; re-running the same manifest reproduces the output
 byte for byte.
 """
@@ -72,6 +73,16 @@ def _parse_depth(text: str | None):
         return int(text)
     except ValueError:
         raise InputError(f"--depth must be an integer or 'inf', got {text!r}")
+
+
+def _finite(text: str) -> float:
+    try:
+        x = float(text)
+        if math.isfinite(x):
+            return x
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
 
 
 def cmd_gen_graph(args) -> int:
@@ -192,7 +203,7 @@ def cmd_check(args) -> int:
         "reason": report.reason,
         "influence_ok": report.influence_ok,
         "paths_ok": report.paths_ok,
-        "rate": report.rate,
+        "rate": _json_num(report.rate),
         "h0": report.h0,
         "certified_rel_err": _json_num(report.certified_rel_err),
         "depth": report.depth,
@@ -218,13 +229,19 @@ def cmd_perc(args) -> int:
         raise InputError(f"config file not found: {args.config}")
     except ValueError as e:
         raise InputError(f"malformed JSON in {args.config}: {e}")
-    if cfg.get("format") != "rfim-perc-v1":
+    if not isinstance(cfg, dict) or cfg.get("format") != "rfim-perc-v1":
         raise InputError("expected format 'rfim-perc-v1'")
+    try:
+        inst_path = cfg["instance"]
+        region = [int(v) for v in cfg["A"]]
+        eta = {int(v): int(s) for v, s in cfg["eta"].items()}
+        xi = {int(v): int(s) for v, s in cfg["xi"].items()}
+    except KeyError as e:
+        raise InputError(f"{args.config} has no {e} entry")
+    except (AttributeError, TypeError) as e:
+        raise InputError(f"malformed perc config {args.config}: {e}")
     base = os.path.dirname(args.config) or "."
-    inst = _load_instance(os.path.join(base, cfg["instance"]))
-    region = [int(v) for v in cfg["A"]]
-    eta = {int(v): int(s) for v, s in cfg["eta"].items()}
-    xi = {int(v): int(s) for v, s in cfg["xi"].items()}
+    inst = _load_instance(os.path.join(base, inst_path))
     trials = int(cfg.get("trials", args.trials))
     seed = int(cfg.get("seed", args.seed))
     report = percolation.tv_domination_check(inst, region, eta, xi, trials, seed)
@@ -252,6 +269,8 @@ def cmd_grow(args) -> int:
         raise InputError(f"graph file not found: {args.graph}")
     except ValueError as e:
         raise InputError(f"malformed graph {args.graph}: {e}")
+    if not 0 <= args.v < g.n:
+        raise InputError(f"--v {args.v} is not a vertex of the {g.n}-vertex graph")
     counts = randgen.neighborhood_growth(g, args.v, args.lmax, in_saw_tree=args.saw_tree)
     obj = {
         "counts": counts,
@@ -294,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--depth", default=None)
-    p.add_argument("--h0", type=float, default=None)
+    p.add_argument("--h0", type=_finite, default=None)
 
     p = add("sample", cmd_sample)
     p.add_argument("--instance", required=True)
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", default=None)
-    p.add_argument("--h0", type=float, default=None)
+    p.add_argument("--h0", type=_finite, default=None)
 
     p = add("glauber", cmd_glauber)
     p.add_argument("--instance", required=True)
@@ -311,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check", cmd_check)
     p.add_argument("--instance", required=True)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--h0", type=float, default=None)
+    p.add_argument("--h0", type=_finite, default=None)
 
     p = add("perc", cmd_perc)
     p.add_argument("--config", required=True)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import max_degree
-from .model import IsingInstance, hamiltonian, influence_bound
-from .sawtree import CertificateReport, SawWalker
+from .model import IsingInstance, hamiltonian
+from .sawtree import CertificateReport, SawWalker, rate_constant
 
 # Unused here; kept importable because the perfbench tracer wraps these names
 # on this module.
@@ -53,23 +53,10 @@ def default_h0(delta: int, beta: float) -> float:
     return abs(beta) * d + math.log(d) + 3.0
 
 
-def rate_constant(delta: int, h0: float, beta: float) -> float | None:
-    """Certified decay rate -1/2 log(M(delta,h0,beta) * delta^2), or None when
-    the influence condition M < delta^-2 fails."""
-    if delta < 1:
-        return math.inf
-    m_scaled = influence_bound(delta, h0, beta) * delta * delta
-    if m_scaled >= 1.0:
-        return None
-    if m_scaled == 0.0:
-        return math.inf
-    return -0.5 * math.log(m_scaled)
-
-
-def choose_depth(n: int, eps: float, delta: float, c1: float, ell0: int) -> int:
+def choose_depth(n: int, eps: float, c1: float, ell0: int) -> int:
     """Truncation depth max{ceil(log(4n/eps)/c1), ell0}."""
-    if not 0.0 < eps < 1.0 or not 0.0 < delta < 1.0:
-        raise ValueError("eps and delta must lie in (0,1)")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0,1)")
     if c1 <= 0.0:
         raise ValueError("no certified rate: c1 must be > 0")
     if math.isinf(c1):
@@ -77,31 +64,54 @@ def choose_depth(n: int, eps: float, delta: float, c1: float, ell0: int) -> int:
     return max(math.ceil(math.log(4.0 * n / eps) / c1), ell0)
 
 
-def _min_distance(n: int, c1: float) -> int:
-    if math.isinf(c1):
-        return 0
-    return math.ceil(math.log(max(n, 2)) / c1)
-
-
-def _depth_schedule(inst: IsingInstance, eps: float, h0: float | None) -> int:
-    """Initial truncation depth."""
+def _schedule(inst: IsingInstance, eps: float, h0: float | None):
+    """(h0, rate, depth): the field threshold (default_h0 when None), the
+    certified rate (None when the influence condition fails) and the
+    scheduled truncation depth."""
     n = inst.graph.n
     delta = max_degree(inst.graph)
     if h0 is None:
         h0 = default_h0(delta, inst.beta)
-    c1 = rate_constant(delta, h0, inst.beta)
-    if c1 is None:
+    rate = rate_constant(delta, h0, inst.beta)
+    if rate is None:
         depth = max(2, math.ceil(math.log(4.0 * n / eps)))
     else:
-        depth = choose_depth(n, eps, eps, c1, _min_distance(n, c1))
-    return depth
+        # ell0: the depth at which the certified decay reaches 1/n
+        ell0 = 0 if math.isinf(rate) else math.ceil(math.log(max(n, 2)) / rate)
+        depth = choose_depth(n, eps, rate, ell0)
+    return h0, rate, depth
 
 
-def _override_cut(depth_override: int | float, n: int) -> int | None:
-    """The cut depth for a forced depth; None (untruncated) for math.inf or
-    any depth a SAW tree on n vertices cannot reach."""
-    cut = None if math.isinf(depth_override) else int(depth_override)
-    return None if cut is not None and cut >= n else cut
+def _cuts(inst: IsingInstance, eps: float, depth_override, h0) -> list[int | None]:
+    """The cut depths to try, in order; None means untruncated.
+
+    A forced depth (math.inf = untruncated) is the only cut.  Otherwise the
+    scheduled depth, doubled while it stays below n, then the untruncated
+    tree: a SAW has fewer than n edges, so depth n or more is exact.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0,1)")
+    n = inst.graph.n
+    if depth_override is not None:
+        cut = None if math.isinf(depth_override) else int(depth_override)
+        return [None if cut is not None and cut >= n else cut]
+    depth = _schedule(inst, eps, h0)[2]
+    cuts = []
+    while depth < n:
+        cuts.append(depth)
+        depth *= 2
+    return cuts + [None]
+
+
+def _first_fit(cuts: list, eps: float, certify):
+    """(cut, result) for the first cut whose certified error fits eps, where
+    `certify(cut)` returns (error, result); (last cut, None) when none fits.
+    The last cut is never certified."""
+    for cut in cuts[:-1]:
+        err, result = certify(cut)
+        if err <= eps:
+            return cut, result
+    return cuts[-1], None
 
 
 def _telescoping_pass(inst: IsingInstance, cut_depth: int | None):
@@ -137,44 +147,23 @@ def approx_partition(
     eps: float,
     depth_override: int | float | None = None,
     h0: float | None = None,
-    max_depth: int | None = None,
 ) -> CountResult:
     """Estimate log Z with a certified relative-error bound.
 
-    With `depth_override` set (math.inf means untruncated) a single pass is
-    made at that depth.  Otherwise the scheduled depth is used and doubled,
-    up to `max_depth` (default: untruncated), until the certified total
-    error fits within eps.
+    Runs the telescoping pass at each of `_cuts` in turn and keeps the first
+    whose certified total error fits within eps.  The last cut is kept
+    whatever its error: a forced depth, or the untruncated (exact) pass.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0,1)")
-    n = inst.graph.n
-    if max_depth is None:
-        max_depth = n  # SAW walks have < n free levels, so depth n is exact
 
-    if depth_override is not None:
-        cut = _override_cut(depth_override, n)
-        config, log_r, step_errs = _telescoping_pass(inst, cut)
-        return _finish_count(inst, config, log_r, step_errs, cut)
-
-    depth = _depth_schedule(inst, eps, h0)
-    while True:
-        cut = None if depth >= n else depth
+    def certify(cut):
         try:
-            config, log_r, step_errs = _telescoping_pass(inst, cut)
-            if cut is None or sum(step_errs) <= eps:
-                return _finish_count(inst, config, log_r, step_errs, cut)
+            done = _telescoping_pass(inst, cut)
         except CertifiedErrorTooLarge:
-            if cut is None:
-                raise
-        if cut is None or depth > max_depth:
-            raise CertifiedErrorTooLarge(
-                f"certified error exceeds {eps} at the maximum depth {max_depth}"
-            )
-        depth *= 2
+            return math.inf, None
+        return sum(done[2]), done
 
-
-def _finish_count(inst, config, log_r, step_errs, cut):
+    cut, done = _first_fit(_cuts(inst, eps, depth_override, h0), eps, certify)
+    config, log_r, step_errs = done or _telescoping_pass(inst, cut)
     log_z = -hamiltonian(inst, config) + sum(log_r)
     return CountResult(
         log_z_estimate=float(log_z),
@@ -196,7 +185,7 @@ def approx_sample(
     Gibbs draw; truncation adds at most the summed certified errors in total
     variation."""
     rng = np.random.default_rng(seed)
-    return _sample_with(inst, eps, rng, depth_override, h0, cache=None)
+    return _sample_with(inst, eps, rng, depth_override, h0)
 
 
 def sample_many(
@@ -223,28 +212,28 @@ def sample_many(
     return out
 
 
-def _sample_with(inst, eps, rng, depth_override, h0, cache):
+def _sample_with(inst, eps, rng, depth_override, h0):
     walker = SawWalker(inst)
     cut = _sample_cut(inst, eps, walker, depth_override, h0)
-    return _draw(inst, walker, cut, rng, cache)
+    return _draw(inst, walker, cut, rng, None)
 
 
 def _sample_cut(inst, eps, walker, depth_override, h0) -> int | None:
-    """The sampler's cut depth: the forced depth, or the scheduled depth
-    doubled until the certified TV budget fits.  Draws no random numbers."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0,1)")
-    n = inst.graph.n
-    if depth_override is not None:
-        return _override_cut(depth_override, n)
-    depth = _depth_schedule(inst, eps, h0)
-    cut = None if depth >= n else depth
-    while cut is not None:
-        errs = _certified_step_errors(inst, walker, cut)
-        if errs is not None and sum(errs) <= eps:
-            break
-        cut = None if 2 * cut >= n else 2 * cut
-    return cut
+    """The sampler's cut: the first of `_cuts` whose summed certified errors,
+    walked with only the original boundary, fit the TV budget eps.  This is
+    conservative for the sequential draw: extending the boundary only prunes
+    frontier paths.  Draws no random numbers."""
+
+    def certify(cut):
+        total = 0.0
+        for v in inst.free_vertices:
+            e = walker.walk(v, inst.boundary, cut).error
+            if e >= STEP_ERROR_LIMIT:
+                return math.inf, None
+            total += e
+        return total, None
+
+    return _first_fit(_cuts(inst, eps, depth_override, h0), eps, certify)[0]
 
 
 def _draw(inst, walker, cut, rng, cache) -> SampleResult:
@@ -271,36 +260,18 @@ def _draw(inst, walker, cut, rng, cache) -> SampleResult:
     return SampleResult(config=config, depth_used=cut, per_vertex_certified_error=step_errs)
 
 
-def _certified_step_errors(inst: IsingInstance, walker: SawWalker, cut: int) -> list[float] | None:
-    """Worst-case per-vertex certified errors with only the original boundary.
-
-    Conservative for the sequential pass: extending the boundary only prunes
-    frontier paths.  None if any error reaches the composition limit.
-    """
-    errs = []
-    for v in inst.free_vertices:
-        e = walker.walk(v, inst.boundary, cut).error
-        if e >= STEP_ERROR_LIMIT:
-            return None
-        errs.append(e)
-    return errs
-
-
 def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> CertificateReport:
     """Per-instance acceptance certificate for the counting run.
 
-    Walks each vertex's SAW tree at the depth the counter would use, checks
-    the strong-spatial-mixing certificate, and aggregates per-vertex certified
+    Walks each vertex's SAW tree at the scheduled depth, checks the
+    strong-spatial-mixing certificate, and aggregates per-vertex certified
     errors through the worst-case composition e/(1/2 - e).  Accepts exactly
     when the aggregate is at most eps.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
-    delta = max_degree(inst.graph)
-    if h0 is None:
-        h0 = default_h0(delta, inst.beta)
-    c1 = rate_constant(delta, h0, inst.beta)
-    if c1 is None:
+    h0, rate, depth = _schedule(inst, eps, h0)
+    if rate is None:
         return CertificateReport(
             influence_ok=False,
             paths_ok=False,
@@ -308,11 +279,8 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
             h0=h0,
             accepted=False,
             reason=f"influence condition fails at h0={h0:.4g}",
-            tolerance=eps,
         )
-    n = inst.graph.n
-    depth = choose_depth(n, eps, eps, c1, _min_distance(n, c1))
-    cut = None if depth >= n else depth
+    cut = None if depth >= inst.graph.n else depth
 
     walker = SawWalker(inst, h0)
     per_vertex = []
@@ -330,12 +298,10 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     return CertificateReport(
         influence_ok=True,
         paths_ok=paths_ok_all,
-        rate=c1,
+        rate=rate,
         h0=h0,
         accepted=accepted,
         reason="" if accepted else f"aggregated certified error {total:.3g} > {eps}",
-        certified_rel_err=float(total) if math.isfinite(total) else total,
-        tolerance=eps,
+        certified_rel_err=float(total),
         depth=depth,
-        per_vertex_err=per_vertex,
     )

@@ -38,6 +38,8 @@ class FieldSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "two_point", "file"):
             raise ValueError(f"unknown field kind {self.kind!r}")
+        if not (math.isfinite(self.variance) and math.isfinite(self.magnitude)):
+            raise ValueError("variance and magnitude must be finite")
         if self.kind == "gaussian" and self.variance < 0:
             raise ValueError("variance must be >= 0")
         if self.kind == "two_point" and not math.isclose(sum(self.weights), 1.0):

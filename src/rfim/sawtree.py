@@ -214,9 +214,7 @@ class CertificateReport:
     accepted: bool = False
     reason: str = ""
     certified_rel_err: float | None = None
-    tolerance: float | None = None
     depth: int | None = None
-    per_vertex_err: list[float] | None = None
 
 
 def build_saw_tree(
@@ -376,6 +374,19 @@ def certified_truncation_error(tree: SawTree, beta: float) -> float:
     return min(total, 1.0)
 
 
+def rate_constant(delta: int, h0: float, beta: float) -> float | None:
+    """Certified decay rate -1/2 log(M(delta,h0,beta) * delta^2), or None when
+    the influence condition M < delta^-2 fails (or M is NaN)."""
+    if delta < 1:
+        return math.inf
+    m_scaled = influence_bound(delta, h0, beta) * delta * delta
+    if not m_scaled < 1.0:
+        return None
+    if m_scaled == 0.0:
+        return math.inf
+    return -0.5 * math.log(m_scaled)
+
+
 def ssm_certificate(tree: SawTree, h0: float, beta: float, delta: int) -> CertificateReport:
     """Check the per-tree strong-spatial-mixing certificate.
 
@@ -384,14 +395,8 @@ def ssm_certificate(tree: SawTree, h0: float, beta: float, delta: int) -> Certif
     magnitude >= h0.  When (a) holds the implied rate is
     -1/2 * log(M(delta, h0, beta) * delta^2).
     """
-    if delta < 1:
-        m_scaled = 0.0
-    else:
-        m_scaled = influence_bound(delta, h0, beta) * delta * delta
-    influence_ok = m_scaled < 1.0
-    rate = -0.5 * math.log(m_scaled) if influence_ok and m_scaled > 0.0 else None
-    if influence_ok and m_scaled == 0.0:
-        rate = math.inf
+    rate = rate_constant(delta, h0, beta)
+    influence_ok = rate is not None
 
     paths_ok = True
     # (n_free, n_large) accumulated along the path to each node
@@ -413,7 +418,7 @@ def ssm_certificate(tree: SawTree, h0: float, beta: float, delta: int) -> Certif
 
     reason = ""
     if not influence_ok:
-        reason = f"influence condition fails: M*delta^2 = {m_scaled:.3g} >= 1"
+        reason = f"influence condition fails at h0={h0:.4g}"
     elif not paths_ok:
         reason = "a root-to-frontier path has under half its free vertices with |h| >= h0"
     return CertificateReport(

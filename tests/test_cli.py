@@ -123,6 +123,64 @@ def test_non_finite_field_exits_one(triangle_instance, tmp_path):
     assert "finite" in res.stderr
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_check_infinite_rate_is_valid_json(tmp_path):
+    # beta = 0 gives zero influence, so the certified rate is infinite
+    g = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+    path = tmp_path / "free.json"
+    M.save(IsingInstance(g, 0.0, np.linspace(-1, 1, 6)), str(path))
+    res = run_cli("check", "--instance", str(path))
+    assert res.returncode == 0
+    obj = json.loads(res.stdout, parse_constant=_no_constant)
+    assert obj["rate"] == "inf"
+
+
+def test_non_finite_arguments_exit_one(triangle_instance):
+    _, path = triangle_instance
+    for sub in ("count", "check", "sample"):
+        for h0 in ("nan", "inf"):
+            res = run_cli(sub, "--instance", path, "--h0", h0)
+            assert res.returncode == 1, (sub, h0)
+            assert res.stdout == ""
+            assert "error:" in res.stderr and "--h0" in res.stderr and "finite" in res.stderr
+    for arg in ("--variance=nan", "--variance=inf", "--variance=-inf", "--magnitude=nan"):
+        res = run_cli("gen-fields", "--n", "4", arg)
+        assert res.returncode == 1, arg
+        assert res.stdout == ""
+        assert "error:" in res.stderr and "finite" in res.stderr
+
+
+def test_bad_vertex_and_config_give_one_error_line(tmp_path):
+    g = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+    gpath = tmp_path / "g.json"
+    G.save(g, str(gpath))
+    M.save(IsingInstance(g, 1.0, np.zeros(6)), str(tmp_path / "inst.json"))
+    no_eta = tmp_path / "no_eta.json"
+    no_eta.write_text(json.dumps({"format": "rfim-perc-v1", "instance": "inst.json",
+                                  "A": [5], "xi": {"0": -1}}))
+    list_eta = tmp_path / "list_eta.json"
+    list_eta.write_text(json.dumps({"format": "rfim-perc-v1", "instance": "inst.json",
+                                    "A": [5], "eta": [1], "xi": {"0": -1}}))
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    for args in (
+        ["grow", "--graph", str(gpath), "--v", "9", "--lmax", "3"],
+        ["grow", "--graph", str(gpath), "--v", "9", "--lmax", "3", "--saw-tree"],
+        ["grow", "--graph", str(gpath), "--v", "-1", "--lmax", "3", "--saw-tree"],
+        ["perc", "--config", str(no_eta)],
+        ["perc", "--config", str(list_eta)],
+        ["perc", "--config", str(not_object)],
+    ):
+        res = run_cli(*args)
+        assert res.returncode == 1, args
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
 def test_byte_determinism(triangle_instance):
     _, path = triangle_instance
     for args in (

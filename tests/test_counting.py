@@ -15,23 +15,24 @@ from rfim.counting import (
 )
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_partition, exact_region_law, hamiltonian
+from rfim.sawtree import SawWalker
 
 from conftest import random_connected_graph
 
 
 def test_choose_depth_examples():
-    assert choose_depth(100, 0.1, 0.1, 1.0, 0) == 9  # ceil(log 4000)
-    assert choose_depth(100, 0.1, 0.1, 1.0, 50) == 50
-    assert choose_depth(2, 0.9, 0.9, 10.0, 0) == 1
+    assert choose_depth(100, 0.1, 1.0, 0) == 9  # ceil(log 4000)
+    assert choose_depth(100, 0.1, 1.0, 50) == 50
+    assert choose_depth(2, 0.9, 10.0, 0) == 1
 
 
 def test_choose_depth_errors():
     with pytest.raises(ValueError):
-        choose_depth(10, 0.1, 0.1, 0.0, 0)
+        choose_depth(10, 0.1, 0.0, 0)
     with pytest.raises(ValueError):
-        choose_depth(10, 0.1, 0.1, -1.0, 0)
+        choose_depth(10, 0.1, -1.0, 0)
     with pytest.raises(ValueError):
-        choose_depth(10, 1.5, 0.1, 1.0, 0)
+        choose_depth(10, 1.5, 1.0, 0)
 
 
 def test_rate_constant_edge_cases():
@@ -119,6 +120,26 @@ def test_adaptive_depth_falls_back_to_exact():
     assert res.log_z_estimate == pytest.approx(exact_partition(inst), abs=1e-9)
 
 
+def test_adaptive_depth_doubles_before_exact():
+    # on this 10-cycle the scheduled depth d = 2 fails eps; the counter's
+    # sequential pass fits at 2d, while the sampler's original-boundary
+    # budget fits only at 4d, still below n
+    n = 10
+    g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    inst = IsingInstance(g, 0.4, np.full(n, 1.2))
+    d = C._schedule(inst, 0.1, None)[2]
+    assert d == 2
+    assert approx_partition(inst, 0.1, depth_override=d).total_certified_relative_error > 0.1
+    res = approx_partition(inst, 0.1)
+    assert res.depth_used == 2 * d
+    assert res.total_certified_relative_error <= 0.1
+
+    walker = SawWalker(inst)
+    budget = {c: sum(walker.walk(v, {}, c).error for v in range(n)) for c in (d, 2 * d, 4 * d)}
+    assert budget[d] > 0.1 and budget[2 * d] > 0.1 and budget[4 * d] <= 0.1
+    assert approx_sample(inst, 0.1, 0).depth_used == 4 * d
+
+
 def test_sampler_product_measure(rng):
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     h = np.array([0.0, 0.8, -0.5, 1.5])
@@ -175,7 +196,7 @@ def test_sample_many_matches_individual_draws(rng):
     batch = sample_many(inst, 0.1, 3, 5, depth_override=math.inf)
     rng2 = np.random.default_rng(3)
     for i in range(5):
-        res = C._sample_with(inst, 0.1, rng2, math.inf, None, None)
+        res = C._sample_with(inst, 0.1, rng2, math.inf, None)
         assert np.array_equal(batch[i], res.config)
 
 
@@ -208,6 +229,13 @@ def test_check_path_untruncated_zero_error(rng):
     report = check_instance(inst, 0.1, h0=3.0)
     assert report.accepted
     assert report.certified_rel_err == 0.0
+
+
+def test_check_all_fixed_reports_float_zero():
+    g = Graph.from_edges(2, [(0, 1)])
+    report = check_instance(IsingInstance(g, 1.0, np.zeros(2), {0: 1, 1: -1}), 0.1)
+    assert report.accepted
+    assert type(report.certified_rel_err) is float and report.certified_rel_err == 0.0
 
 
 def test_count_result_fields_consistent():
