@@ -38,9 +38,13 @@ class InputError(Exception):
     pass
 
 
-def _manifest(subcommand: str, params: dict) -> dict:
+def _manifest(args, **effective) -> dict:
+    """The run manifest: the parsed arguments, with `effective` values
+    replacing those the run did not use as given."""
+    params = {k: v for k, v in vars(args).items() if k not in ("fn", "out", "subcommand")}
+    params.update(effective)
     return {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "params": {k: v for k, v in sorted(params.items()) if v is not None},
         "version": __version__,
         "formats": FORMATS,
@@ -88,9 +92,7 @@ def _finite(text: str) -> float:
 def cmd_gen_graph(args) -> int:
     g = randgen.gen_er_graph(args.n, args.delta, args.seed)
     obj = graphmod.to_json_dict(g)
-    obj["manifest"] = _manifest(
-        "gen-graph", {"n": args.n, "delta": args.delta, "seed": args.seed}
-    )
+    obj["manifest"] = _manifest(args)
     _emit(obj, args.out)
     return EXIT_OK
 
@@ -101,16 +103,7 @@ def cmd_gen_fields(args) -> int:
     )
     h = randgen.gen_fields(args.n, spec, args.seed)
     obj = randgen.fields_to_json_dict(h, spec, args.seed)
-    obj["manifest"] = _manifest(
-        "gen-fields",
-        {
-            "n": args.n,
-            "kind": args.kind,
-            "variance": args.variance,
-            "magnitude": args.magnitude,
-            "seed": args.seed,
-        },
-    )
+    obj["manifest"] = _manifest(args)
     _emit(obj, args.out)
     return EXIT_OK
 
@@ -123,9 +116,7 @@ def cmd_exact(args) -> int:
         raise InputError(str(e))
     obj = {
         "log_z": log_z,
-        "manifest": _manifest(
-            "exact", {"instance": args.instance, "max_free": args.max_free}
-        ),
+        "manifest": _manifest(args),
     }
     _emit(obj, args.out)
     return EXIT_OK
@@ -143,15 +134,7 @@ def cmd_count(args) -> int:
         "depth": -1 if res.depth_used is None else res.depth_used,
         "accepted": bool(report.accepted),
         "per_vertex_err": res.per_vertex_certified_error,
-        "manifest": _manifest(
-            "count",
-            {
-                "instance": args.instance,
-                "eps": args.eps,
-                "depth": args.depth,
-                "h0": args.h0,
-            },
-        ),
+        "manifest": _manifest(args),
     }
     _emit(obj, args.out)
     return EXIT_OK
@@ -167,16 +150,7 @@ def cmd_sample(args) -> int:
         "config": [int(s) for s in res.config],
         "depth": -1 if res.depth_used is None else res.depth_used,
         "tv_budget": float(sum(res.per_vertex_certified_error)),
-        "manifest": _manifest(
-            "sample",
-            {
-                "instance": args.instance,
-                "eps": args.eps,
-                "seed": args.seed,
-                "depth": args.depth,
-                "h0": args.h0,
-            },
-        ),
+        "manifest": _manifest(args),
     }
     _emit(obj, args.out)
     return EXIT_OK
@@ -185,9 +159,7 @@ def cmd_sample(args) -> int:
 def cmd_glauber(args) -> int:
     inst = _load_instance(args.instance)
     config = glauber.glauber_sample(inst, args.eps, args.seed)
-    manifest = _manifest(
-        "glauber", {"instance": args.instance, "eps": args.eps, "seed": args.seed}
-    )
+    manifest = _manifest(args)
     if config is None:
         _emit({"no_guarantee": True, "manifest": manifest}, args.out)
         return EXIT_NO_GUARANTEE
@@ -207,9 +179,7 @@ def cmd_check(args) -> int:
         "h0": report.h0,
         "certified_rel_err": _json_num(report.certified_rel_err),
         "depth": report.depth,
-        "manifest": _manifest(
-            "check", {"instance": args.instance, "eps": args.eps, "h0": args.h0}
-        ),
+        "manifest": _manifest(args),
     }
     _emit(obj, args.out)
     return EXIT_OK if report.accepted else EXIT_REJECTED
@@ -254,9 +224,7 @@ def cmd_perc(args) -> int:
             "trials": report.percolation.trials,
         },
         "holds": report.holds,
-        "manifest": _manifest(
-            "perc", {"config": args.config, "trials": trials, "seed": seed}
-        ),
+        "manifest": _manifest(args, trials=trials, seed=seed),
     }
     _emit(obj, args.out)
     return EXIT_OK
@@ -274,10 +242,7 @@ def cmd_grow(args) -> int:
     counts = randgen.neighborhood_growth(g, args.v, args.lmax, in_saw_tree=args.saw_tree)
     obj = {
         "counts": counts,
-        "manifest": _manifest(
-            "grow",
-            {"graph": args.graph, "v": args.v, "lmax": args.lmax, "saw_tree": args.saw_tree},
-        ),
+        "manifest": _manifest(args),
     }
     _emit(obj, args.out)
     return EXIT_OK

@@ -23,7 +23,8 @@ INSTANCE_FORMAT = "rfim-instance-v1"
 #: Largest number of free vertices the exact oracles will enumerate by default.
 DEFAULT_ENUMERATION_CAP = 24
 
-_BLOCK_BITS = 16
+#: The exact oracles sum out at most this many free vertices in one table.
+_TABLE_BITS = 16
 
 
 class EnumerationTooLarge(ValueError):
@@ -87,62 +88,63 @@ def hamiltonian(inst: IsingInstance, spins: np.ndarray) -> float:
     return float(-(inst.beta * pair + np.dot(inst.fields, s)))
 
 
-def _enumerate_log_weights(inst: IsingInstance, free: list[int]):
-    """Yield log-weight vectors for blocks of configurations of the free spins.
+def _log_weights(inst: IsingInstance, order: list[int]) -> np.ndarray:
+    """-H for every configuration of the free vertices in `order`, as an
+    array of shape (2,)*k: axis i belongs to order[i], index 0 meaning spin
+    -1 and index 1 spin +1.  Every vertex not in `order` must be fixed.
 
-    Block k covers configurations whose index has the block's high bits; within
-    a block, bit j of the index is the spin of free[j] (+1 for bit 1).
-    Summation order is fixed, so results are deterministic.
+    Each field and edge term is added as a broadcast +-1 array; a term whose
+    vertices are all fixed goes into one scalar, so it costs no pass.
     """
-    g = inst.graph
-    k = len(free)
-    pos = {v: i for i, v in enumerate(free)}
-    h_free = inst.fields[free]
+    k = len(order)
+    axis = {v: i for i, v in enumerate(order)}
 
-    # constant contribution of boundary spins (fields + boundary-boundary edges)
+    def spin(v):
+        if v not in axis:
+            return inst.boundary[v]
+        shape = [1] * k
+        shape[axis[v]] = 2
+        return np.array([-1.0, 1.0]).reshape(shape)
+
+    terms = [h * spin(v) for v, h in enumerate(inst.fields.tolist())]
+    terms += [inst.beta * spin(a) * spin(b) for a, b in inst.graph.edges()]
+    table = np.zeros((2,) * k)
     const = 0.0
-    for v, tau in inst.boundary.items():
-        const += inst.fields[v] * tau
-    free_edges = []       # (i, j) positions within `free`
-    cross = np.zeros(k)   # effective extra field on free[i] from fixed neighbors
-    for a, b in g.edges():
-        fa, fb = a in pos, b in pos
-        if fa and fb:
-            free_edges.append((pos[a], pos[b]))
-        elif fa:
-            cross[pos[a]] += inst.beta * inst.boundary[b]
-        elif fb:
-            cross[pos[b]] += inst.beta * inst.boundary[a]
+    for term in terms:
+        if np.ndim(term):
+            table += term
         else:
-            const += inst.beta * inst.boundary[a] * inst.boundary[b]
+            const += term
+    table += const
+    return table
 
-    eff = h_free + cross
-    block_bits = min(_BLOCK_BITS, k)
-    n_blocks = 1 << (k - block_bits)
-    base = np.arange(1 << block_bits, dtype=np.int64)
-    for blk in range(n_blocks):
-        idx = base + (blk << block_bits)
-        spins = ((idx[:, None] >> np.arange(k)) & 1) * 2 - 1  # (block, k) of +-1
-        logw = spins @ eff + const
-        if free_edges:
-            ii = np.array([e[0] for e in free_edges])
-            jj = np.array([e[1] for e in free_edges])
-            logw = logw + inst.beta * np.einsum("bi,bi->b", spins[:, ii], spins[:, jj])
-        yield idx, spins, logw
+
+def _region_log_z(inst: IsingInstance, region: list[int]) -> np.ndarray:
+    """log Z with the (free, distinct) vertices of `region` fixed, for each of
+    their 2^r configurations in itertools.product((-1, 1), repeat=r) order.
+
+    The other free vertices are summed out of a table of at most
+    2^max(_TABLE_BITS, r) entries; beyond that, the last of them is fixed to
+    -1 and to +1 in turn and the two halves are added in log space.
+    """
+    in_region = set(region)
+    others = [v for v in inst.free_vertices if v not in in_region]
+    if others and len(region) + len(others) > _TABLE_BITS:
+        halves = [_region_log_z(inst.with_extra_boundary({others[-1]: s}), region) for s in (-1, 1)]
+        return np.logaddexp(*halves)
+    table = _log_weights(inst, region + others)
+    return logsumexp(table.reshape(1 << len(region), -1), axis=1)
+
+
+def _check_cap(n_free: int, max_free: int) -> None:
+    if n_free > max_free:
+        raise EnumerationTooLarge(f"{n_free} free vertices exceeds enumeration cap {max_free}")
 
 
 def exact_partition(inst: IsingInstance, max_free: int = DEFAULT_ENUMERATION_CAP) -> float:
     """log Z by exhaustive enumeration over the free spins (the test oracle)."""
-    free = inst.free_vertices
-    if len(free) > max_free:
-        raise EnumerationTooLarge(
-            f"{len(free)} free vertices exceeds enumeration cap {max_free}"
-        )
-    if not free:
-        s = np.array([inst.boundary[v] for v in range(inst.graph.n)])
-        return -hamiltonian(inst, s)
-    parts = [logsumexp(logw) for _, _, logw in _enumerate_log_weights(inst, free)]
-    return float(logsumexp(parts))
+    _check_cap(len(inst.free_vertices), max_free)
+    return float(_region_log_z(inst, [])[0])
 
 
 def exact_marginal(
@@ -155,8 +157,10 @@ def exact_marginal(
     cond = inst.with_extra_boundary(extra or {})
     if v in cond.boundary:
         raise ValueError(f"vertex {v} is fixed by the conditioning")
-    log_plus = exact_partition(cond.with_extra_boundary({v: +1}), max_free)
-    log_minus = exact_partition(cond.with_extra_boundary({v: -1}), max_free)
+    if not 0 <= v < cond.graph.n:
+        raise ValueError(f"vertex {v} out of range")
+    _check_cap(len(cond.free_vertices) - 1, max_free)
+    log_minus, log_plus = _region_log_z(cond, [v])
     return float(expit(log_plus - log_minus))
 
 
@@ -165,36 +169,18 @@ def exact_region_law(
     region: list[int],
     max_free: int = DEFAULT_ENUMERATION_CAP,
 ) -> dict[tuple[int, ...], float]:
-    """Exact joint law of the spins on `region` (each vertex free), as a dict
-    from spin tuples to probabilities."""
+    """Exact joint law of the spins on `region` (distinct free vertices), as
+    a dict from spin tuples to probabilities."""
     free = inst.free_vertices
-    if len(free) > max_free:
-        raise EnumerationTooLarge(
-            f"{len(free)} free vertices exceeds enumeration cap {max_free}"
-        )
-    pos = {v: i for i, v in enumerate(free)}
+    _check_cap(len(free), max_free)
     for v in region:
-        if v not in pos:
+        if v not in free:
             raise ValueError(f"region vertex {v} is not free")
-    cols = np.array([pos[v] for v in region], dtype=np.int64)
-    r = len(region)
-    # per region code (bit j set when region[j] is +1): whether it occurs, and
-    # its weight relative to exp(scale), the largest log-weight seen so far
-    occurs = np.zeros(1 << r, dtype=bool)
-    weight = np.zeros(1 << r)
-    scale = -math.inf
-    for idx, _, logw in _enumerate_log_weights(inst, free):
-        codes = (((idx[:, None] >> cols) & 1) << np.arange(r)).sum(axis=1)
-        occurs[codes] = True
-        top = float(logw.max())
-        if top > scale:
-            weight *= math.exp(scale - top)
-            scale = top
-        weight += np.bincount(codes, weights=np.exp(logw - scale), minlength=1 << r)
-    prob = weight / weight.sum()
-    # product() varies its last entry fastest; reversed, entry j follows bit j
-    keys = (spins[::-1] for spins in itertools.product((-1, 1), repeat=r))
-    return {key: p for key, p, seen in zip(keys, prob.tolist(), occurs.tolist()) if seen}
+    if len(set(region)) != len(region):
+        raise ValueError(f"region {list(region)} repeats a vertex")
+    log_z = _region_log_z(inst, list(region))
+    prob = np.exp(log_z - logsumexp(log_z))
+    return dict(zip(itertools.product((-1, 1), repeat=len(region)), prob.tolist()))
 
 
 def influence_bound(delta: float, h: float, beta: float) -> float:

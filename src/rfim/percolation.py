@@ -141,14 +141,17 @@ def _exploration_sequence(inst: IsingInstance):
     return sorted(free, key=lambda v: (dist[v] if dist[v] != UNREACHABLE else big, v))
 
 
+def _check_boundary_pair(inst: IsingInstance, eta: dict[int, int], xi: dict[int, int]) -> None:
+    if set(eta) != set(inst.boundary) or set(xi) != set(inst.boundary):
+        raise ValueError("eta and xi must assign exactly the boundary vertices")
+
+
 def coupled_exploration(
     inst: IsingInstance,
     eta: dict[int, int],
     xi: dict[int, int],
     seed: int,
     max_free: int = 20,
-    _memo: dict | None = None,
-    _rng: np.random.Generator | None = None,
 ) -> CouplingTranscript:
     """Maximal coupling of the Gibbs measures under boundary conditions eta
     and xi, revealed by the exploration process of the disagreement-percolation
@@ -159,21 +162,31 @@ def coupled_exploration(
     unexplored region, so the per-site disagreement probability is the true
     conditional difference.
     """
+    return _explore(inst, eta, xi, np.random.default_rng(seed), {}, max_free)
+
+
+def _explore(
+    inst: IsingInstance,
+    eta: dict[int, int],
+    xi: dict[int, int],
+    rng: np.random.Generator,
+    memo: dict,
+    max_free: int,
+) -> CouplingTranscript:
+    """One coupled exploration drawing from `rng`; `memo` caches conditional
+    marginals by (side, site, revealed spins) across explorations."""
     g = inst.graph
-    if set(eta) != set(inst.boundary) or set(xi) != set(inst.boundary):
-        raise ValueError("eta and xi must assign exactly the boundary vertices")
+    _check_boundary_pair(inst, eta, xi)
     if len(inst.free_vertices) > max_free:
         raise ValueError("instance too large for exact conditionals")
-    rng = _rng if _rng is not None else np.random.default_rng(seed)
-    memo = _memo if _memo is not None else {}
 
-    order = _exploration_sequence(inst)
+    unconditioned = replace(inst, boundary={})
     sigma = {0: dict(eta), 1: dict(xi)}
     S = np.zeros(g.n, dtype=int)
     for v in inst.boundary:
         S[v] = int(eta[v] != xi[v])
     disagree = {v for v in inst.boundary if S[v]}
-    unexplored = list(order)
+    unexplored = _exploration_sequence(inst)
     visited: list[int] = []
 
     while unexplored:
@@ -188,8 +201,7 @@ def coupled_exploration(
             key = (i, x, tuple(sorted(sigma[i].items())))
             p = memo.get(key)
             if p is None:
-                cond = replace(inst, boundary={})
-                p = exact_marginal(cond, x, extra=sigma[i], max_free=max_free)
+                p = exact_marginal(unconditioned, x, extra=sigma[i], max_free=max_free)
                 memo[key] = p
             ps.append(p)
         for i in (0, 1):
@@ -212,7 +224,9 @@ def coupled_exploration_sweep(
     seed: int,
     max_free: int = 20,
 ):
-    """Repeat the coupled exploration, sharing the conditional-marginal memo.
+    """Repeat the coupled exploration from one generator seeded with `seed`,
+    sharing the conditional-marginal memo; trial 1 is
+    `coupled_exploration(inst, eta, xi, seed, max_free)`.
 
     Returns (per-vertex disagreement frequency, per-vertex +1 frequency for
     side a, same for side b), each an array over vertices.
@@ -224,7 +238,7 @@ def coupled_exploration_sweep(
     plus_a = np.zeros(n)
     plus_b = np.zeros(n)
     for _ in range(trials):
-        t = coupled_exploration(inst, eta, xi, 0, max_free, _memo=memo, _rng=rng)
+        t = _explore(inst, eta, xi, rng, memo, max_free)
         s_count += t.disagreement
         plus_a += t.sigma_a == 1
         plus_b += t.sigma_b == 1
@@ -242,7 +256,9 @@ def exact_tv_on_region(
     inst: IsingInstance, region: list[int], eta: dict[int, int], xi: dict[int, int]
 ) -> float:
     """Exact total-variation distance between the two conditional laws of the
-    spins on `region` under boundary conditions eta and xi."""
+    spins on `region` under boundary conditions eta and xi, which must
+    assign exactly the boundary vertices."""
+    _check_boundary_pair(inst, eta, xi)
     base = replace(inst, boundary={})
     law_a = exact_region_law(base.with_extra_boundary(eta), region)
     law_b = exact_region_law(base.with_extra_boundary(xi), region)

@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from .graph import Graph, bfs_distances
 from .model import IsingInstance
-from .sawtree import build_saw_tree
+from .sawtree import SawWalker
 
 FIELDS_FORMAT = "rfim-fields-v1"
 GENERATOR_VERSION = "pcg64-ndtri-1"
@@ -116,13 +116,7 @@ def neighborhood_growth(
             if 1 <= dist[w] <= ell_max:
                 counts[dist[w] - 1] += 1
         return counts
-    inst = IsingInstance(g, 0.0, np.zeros(g.n))
-    tree = build_saw_tree(g, inst, v, cut_depth=ell_max)
-    counts = [0] * ell_max
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if 1 <= node.depth <= ell_max:
-            counts[node.depth - 1] += 1
-        stack.extend(node.children)
-    return counts
+    # a truncated walk counts the nodes at depths 0..cut
+    walker = SawWalker(IsingInstance(g, 0.0, np.zeros(g.n)))
+    totals = [walker.walk(v, {}, d).node_count for d in range(ell_max + 1)]
+    return [b - a for a, b in zip(totals, totals[1:])]

@@ -228,6 +228,38 @@ def test_perc_subcommand(tmp_path):
     assert 0.0 <= obj["tv_exact"] <= 1.0
 
 
+def test_perc_manifest_records_config_trials_and_seed(tmp_path):
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    M.save(IsingInstance(g, 1.0, np.zeros(4), {0: 1}), str(tmp_path / "inst.json"))
+    cfg_path = tmp_path / "perc.json"
+    cfg_path.write_text(json.dumps({"format": "rfim-perc-v1", "instance": "inst.json",
+                                    "A": [3], "eta": {"0": 1}, "xi": {"0": -1},
+                                    "trials": 500, "seed": 9}))
+    res = run_cli("perc", "--config", str(cfg_path), "--trials", "20", "--seed", "1")
+    assert res.returncode == 0
+    obj = json.loads(res.stdout)
+    assert obj["percolation"]["trials"] == 500
+    assert obj["manifest"]["params"] == {"config": str(cfg_path), "trials": 500, "seed": 9}
+
+
+def test_perc_rejects_repeated_region_and_off_boundary_eta_xi(tmp_path):
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    M.save(IsingInstance(g, 1.0, np.zeros(4), {0: 1}), str(tmp_path / "inst.json"))
+    for name, region, eta, xi in (
+        ("repeat", [2, 2], {"0": 1}, {"0": -1}),
+        ("empty", [3], {}, {}),
+        ("extra", [3], {"0": 1, "1": 1}, {"0": -1, "1": 1}),
+    ):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"format": "rfim-perc-v1", "instance": "inst.json",
+                                        "A": region, "eta": eta, "xi": xi, "trials": 100}))
+        res = run_cli("perc", "--config", str(cfg_path))
+        assert res.returncode == 1, name
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
 def test_grow_subcommand(tmp_path):
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     gpath = tmp_path / "g.json"

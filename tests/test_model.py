@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,6 +213,35 @@ def test_region_law_over_all_free_vertices(rng):
         spins[region] = key
         spins[[4, 9]] = [1, -1]
         assert p == pytest.approx(math.exp(-hamiltonian(inst, spins) - log_z), abs=1e-12)
+
+
+def test_region_law_rejects_repeated_vertex():
+    inst = IsingInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), 1.0, np.zeros(3))
+    with pytest.raises(ValueError, match="repeats"):
+        M.exact_region_law(inst, [2, 2])
+
+
+def test_exact_partition_past_one_table_memory_bounded(rng):
+    # 20 free vertices on a 22-vertex path: four tables of 2^16 entries,
+    # checked against the transfer-matrix product
+    n = 22
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    h = rng.uniform(-1.5, 1.5, n)
+    inst = IsingInstance(g, 0.6, h, {0: 1, n - 1: -1})
+    spins = np.array([-1.0, 1.0])
+    pair = np.exp(inst.beta * np.outer(spins, spins))
+    z = np.exp((inst.beta + h[1]) * spins)  # spin 1 next to the fixed +1 at 0
+    for v in range(2, n - 1):
+        z = (z @ pair) * np.exp(h[v] * spins)
+    expected = math.log(z @ np.exp(-inst.beta * spins)) + h[0] - h[n - 1]
+    tracemalloc.start()
+    try:
+        log_z = exact_partition(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert log_z == pytest.approx(expected, rel=1e-12)
+    assert peak < 8 * 2**20
 
 
 def test_instance_json_round_trip(tmp_path, rng):

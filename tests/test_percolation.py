@@ -141,6 +141,27 @@ def test_coupling_validation():
         coupled_exploration(big, {0: 1}, {0: -1}, seed=0)
 
 
+def test_sweep_single_trial_matches_exploration(rng):
+    g = random_connected_graph(7, rng)
+    inst = IsingInstance(g, 0.9, rng.uniform(-1, 1, 7), {0: 1, 3: -1})
+    eta, xi = {0: 1, 3: -1}, {0: -1, 3: -1}
+    for seed in (0, 5, 11):
+        t = coupled_exploration(inst, eta, xi, seed=seed)
+        s_freq, plus_a, plus_b = coupled_exploration_sweep(inst, eta, xi, 1, seed=seed)
+        assert np.array_equal(s_freq, t.disagreement)
+        assert np.array_equal(plus_a, t.sigma_a == 1)
+        assert np.array_equal(plus_b, t.sigma_b == 1)
+
+
+def test_tv_check_requires_eta_xi_on_the_boundary():
+    inst = IsingInstance(path_graph(4), 1.0, np.zeros(4), {0: 1})
+    for eta, xi in (({}, {}), ({0: 1, 1: 1}, {0: -1, 1: 1})):
+        with pytest.raises(ValueError, match="exactly the boundary"):
+            exact_tv_on_region(inst, [3], eta, xi)
+        with pytest.raises(ValueError, match="exactly the boundary"):
+            tv_domination_check(inst, [3], eta, xi, trials=100, seed=0)
+
+
 def test_exploration_order_layered():
     g = path_graph(5)
     inst = IsingInstance(g, 1.0, np.zeros(5), {0: 1})

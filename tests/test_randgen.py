@@ -7,6 +7,7 @@ import pytest
 from rfim import graph as G
 from rfim import randgen as R
 from rfim.graph import Graph
+from rfim.model import IsingInstance
 from rfim.randgen import (
     FieldSpec,
     gen_er_graph,
@@ -14,6 +15,7 @@ from rfim.randgen import (
     load_fields,
     neighborhood_growth,
 )
+from rfim.sawtree import build_saw_tree
 
 from conftest import random_connected_graph
 
@@ -147,6 +149,22 @@ def test_saw_counts_dominate_spheres(rng):
         graph_counts = neighborhood_growth(g, v, n)
         saw_counts = neighborhood_growth(g, v, n, in_saw_tree=True)
         assert all(s >= c for s, c in zip(saw_counts, graph_counts))
+
+
+def test_saw_levels_match_tree_depths(rng):
+    for _ in range(10):
+        n = int(rng.integers(2, 10))
+        g = random_connected_graph(n, rng, extra_edges=4)
+        v = int(rng.integers(n))
+        ell = int(rng.integers(1, n + 2))
+        tree = build_saw_tree(g, IsingInstance(g, 0.0, np.zeros(n)), v, cut_depth=ell)
+        depths = [0] * (ell + 1)
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            depths[node.depth] += 1
+            stack.extend(node.children)
+        assert neighborhood_growth(g, v, ell, in_saw_tree=True) == depths[1:]
 
 
 def test_growth_input_error():
