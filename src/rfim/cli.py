@@ -3,9 +3,13 @@
 Exit codes: 0 success, 1 input error, 2 rejection by `check`, 3 no mixing
 guarantee from `glauber`, 4 certified error too large (`count` cannot
 certify its estimate at a forced `--depth`; without one, the depth schedule
-ends with the exact untruncated pass).  Every output
-embeds the run manifest; re-running the same manifest reproduces the output
-byte for byte.
+ends with the exact untruncated pass).
+
+Each `cmd_*` returns its output object and exit code.  `cli_dispatch` alone
+attaches the run manifest, writes the JSON to stdout (and to `--out`) and
+turns errors into exit codes, so every output embeds the manifest, the
+exit-2 object of `check` and the exit-3 object of `glauber` included.
+Re-running the same manifest reproduces the output byte for byte.
 """
 
 from __future__ import annotations
@@ -34,15 +38,9 @@ EXIT_NO_GUARANTEE = 3
 EXIT_ERROR_TOO_LARGE = 4
 
 
-class InputError(Exception):
-    pass
-
-
-def _manifest(args, **effective) -> dict:
-    """The run manifest: the parsed arguments, with `effective` values
-    replacing those the run did not use as given."""
+def _manifest(args) -> dict:
+    """The run manifest: the parsed arguments, as the run used them."""
     params = {k: v for k, v in vars(args).items() if k not in ("fn", "out", "subcommand")}
-    params.update(effective)
     return {
         "subcommand": args.subcommand,
         "params": {k: v for k, v in sorted(params.items()) if v is not None},
@@ -63,9 +61,9 @@ def _load_instance(path: str) -> model.IsingInstance:
     try:
         return model.load(path)
     except FileNotFoundError:
-        raise InputError(f"instance file not found: {path}")
+        raise ValueError(f"instance file not found: {path}")
     except (ValueError, KeyError) as e:
-        raise InputError(f"malformed instance {path}: {e}")
+        raise ValueError(f"malformed instance {path}: {e}")
 
 
 def _parse_depth(text: str | None):
@@ -76,7 +74,7 @@ def _parse_depth(text: str | None):
     try:
         return int(text)
     except ValueError:
-        raise InputError(f"--depth must be an integer or 'inf', got {text!r}")
+        raise ValueError(f"--depth must be an integer or 'inf', got {text!r}")
 
 
 def _finite(text: str) -> float:
@@ -89,40 +87,25 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
 
 
-def cmd_gen_graph(args) -> int:
+def cmd_gen_graph(args) -> tuple[dict, int]:
     g = randgen.gen_er_graph(args.n, args.delta, args.seed)
-    obj = graphmod.to_json_dict(g)
-    obj["manifest"] = _manifest(args)
-    _emit(obj, args.out)
-    return EXIT_OK
+    return graphmod.to_json_dict(g), EXIT_OK
 
 
-def cmd_gen_fields(args) -> int:
+def cmd_gen_fields(args) -> tuple[dict, int]:
     spec = randgen.FieldSpec(
         kind=args.kind, variance=args.variance, magnitude=args.magnitude
     )
     h = randgen.gen_fields(args.n, spec, args.seed)
-    obj = randgen.fields_to_json_dict(h, spec, args.seed)
-    obj["manifest"] = _manifest(args)
-    _emit(obj, args.out)
-    return EXIT_OK
+    return randgen.fields_to_json_dict(h, spec, args.seed), EXIT_OK
 
 
-def cmd_exact(args) -> int:
+def cmd_exact(args) -> tuple[dict, int]:
     inst = _load_instance(args.instance)
-    try:
-        log_z = model.exact_partition(inst, max_free=args.max_free)
-    except model.EnumerationTooLarge as e:
-        raise InputError(str(e))
-    obj = {
-        "log_z": log_z,
-        "manifest": _manifest(args),
-    }
-    _emit(obj, args.out)
-    return EXIT_OK
+    return {"log_z": model.exact_partition(inst, max_free=args.max_free)}, EXIT_OK
 
 
-def cmd_count(args) -> int:
+def cmd_count(args) -> tuple[dict, int]:
     inst = _load_instance(args.instance)
     depth = _parse_depth(args.depth)
     res = counting.approx_partition(inst, args.eps, depth_override=depth, h0=args.h0)
@@ -134,13 +117,11 @@ def cmd_count(args) -> int:
         "depth": -1 if res.depth_used is None else res.depth_used,
         "accepted": bool(report.accepted),
         "per_vertex_err": res.per_vertex_certified_error,
-        "manifest": _manifest(args),
     }
-    _emit(obj, args.out)
-    return EXIT_OK
+    return obj, EXIT_OK
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[dict, int]:
     inst = _load_instance(args.instance)
     depth = _parse_depth(args.depth)
     res = counting.approx_sample(
@@ -150,24 +131,19 @@ def cmd_sample(args) -> int:
         "config": [int(s) for s in res.config],
         "depth": -1 if res.depth_used is None else res.depth_used,
         "tv_budget": float(sum(res.per_vertex_certified_error)),
-        "manifest": _manifest(args),
     }
-    _emit(obj, args.out)
-    return EXIT_OK
+    return obj, EXIT_OK
 
 
-def cmd_glauber(args) -> int:
+def cmd_glauber(args) -> tuple[dict, int]:
     inst = _load_instance(args.instance)
     config = glauber.glauber_sample(inst, args.eps, args.seed)
-    manifest = _manifest(args)
     if config is None:
-        _emit({"no_guarantee": True, "manifest": manifest}, args.out)
-        return EXIT_NO_GUARANTEE
-    _emit({"config": [int(s) for s in config], "manifest": manifest}, args.out)
-    return EXIT_OK
+        return {"no_guarantee": True}, EXIT_NO_GUARANTEE
+    return {"config": [int(s) for s in config]}, EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     inst = _load_instance(args.instance)
     report = counting.check_instance(inst, args.eps, h0=args.h0)
     obj = {
@@ -179,10 +155,8 @@ def cmd_check(args) -> int:
         "h0": report.h0,
         "certified_rel_err": _json_num(report.certified_rel_err),
         "depth": report.depth,
-        "manifest": _manifest(args),
     }
-    _emit(obj, args.out)
-    return EXIT_OK if report.accepted else EXIT_REJECTED
+    return obj, EXIT_OK if report.accepted else EXIT_REJECTED
 
 
 def _json_num(x):
@@ -191,30 +165,31 @@ def _json_num(x):
     return x if math.isfinite(x) else "inf"
 
 
-def cmd_perc(args) -> int:
+def cmd_perc(args) -> tuple[dict, int]:
     try:
         with open(args.config) as f:
             cfg = json.load(f)
     except FileNotFoundError:
-        raise InputError(f"config file not found: {args.config}")
+        raise ValueError(f"config file not found: {args.config}")
     except ValueError as e:
-        raise InputError(f"malformed JSON in {args.config}: {e}")
+        raise ValueError(f"malformed JSON in {args.config}: {e}")
     if not isinstance(cfg, dict) or cfg.get("format") != "rfim-perc-v1":
-        raise InputError("expected format 'rfim-perc-v1'")
+        raise ValueError("expected format 'rfim-perc-v1'")
     try:
         inst_path = cfg["instance"]
         region = [int(v) for v in cfg["A"]]
         eta = {int(v): int(s) for v, s in cfg["eta"].items()}
         xi = {int(v): int(s) for v, s in cfg["xi"].items()}
     except KeyError as e:
-        raise InputError(f"{args.config} has no {e} entry")
+        raise ValueError(f"{args.config} has no {e} entry")
     except (AttributeError, TypeError) as e:
-        raise InputError(f"malformed perc config {args.config}: {e}")
+        raise ValueError(f"malformed perc config {args.config}: {e}")
     base = os.path.dirname(args.config) or "."
     inst = _load_instance(os.path.join(base, inst_path))
-    trials = int(cfg.get("trials", args.trials))
-    seed = int(cfg.get("seed", args.seed))
-    report = percolation.tv_domination_check(inst, region, eta, xi, trials, seed)
+    # the config's values override the flags, and the manifest records them
+    args.trials = int(cfg.get("trials", args.trials))
+    args.seed = int(cfg.get("seed", args.seed))
+    report = percolation.tv_domination_check(inst, region, eta, xi, args.trials, args.seed)
     obj = {
         "tv_exact": report.tv_exact,
         "percolation": {
@@ -224,28 +199,21 @@ def cmd_perc(args) -> int:
             "trials": report.percolation.trials,
         },
         "holds": report.holds,
-        "manifest": _manifest(args, trials=trials, seed=seed),
     }
-    _emit(obj, args.out)
-    return EXIT_OK
+    return obj, EXIT_OK
 
 
-def cmd_grow(args) -> int:
+def cmd_grow(args) -> tuple[dict, int]:
     try:
         g = graphmod.load(args.graph)
     except FileNotFoundError:
-        raise InputError(f"graph file not found: {args.graph}")
+        raise ValueError(f"graph file not found: {args.graph}")
     except ValueError as e:
-        raise InputError(f"malformed graph {args.graph}: {e}")
+        raise ValueError(f"malformed graph {args.graph}: {e}")
     if not 0 <= args.v < g.n:
-        raise InputError(f"--v {args.v} is not a vertex of the {g.n}-vertex graph")
+        raise ValueError(f"--v {args.v} is not a vertex of the {g.n}-vertex graph")
     counts = randgen.neighborhood_growth(g, args.v, args.lmax, in_saw_tree=args.saw_tree)
-    obj = {
-        "counts": counts,
-        "manifest": _manifest(args),
-    }
-    _emit(obj, args.out)
-    return EXIT_OK
+    return {"counts": counts}, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,16 +286,16 @@ def cli_dispatch(argv: list[str]) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
-        return args.fn(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, model.EnumerationTooLarge) as e:
+        obj, code = args.fn(args)
+    except ValueError as e:  # input errors, model.EnumerationTooLarge included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except counting.CertifiedErrorTooLarge as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR_TOO_LARGE
+    obj["manifest"] = _manifest(args)
+    _emit(obj, args.out)
+    return code
 
 
 def main() -> None:

@@ -58,9 +58,6 @@ class Graph:
                     out.append((a, b))
         return out
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
 
 def max_degree(g: Graph) -> int:
     if g.n == 0:

@@ -187,10 +187,13 @@ def influence_bound(delta: float, h: float, beta: float) -> float:
     """Maximum swing of a degree-`delta` vertex's conditional marginal over
     its neighbors' spins: |sigmoid(2h + 2*beta*delta) - sigmoid(2h - 2*beta*delta)|.
 
-    Computed as a sigmoid difference, stable for |h| up to +-700.
+    M is even in h, and the sigmoid difference is evaluated at -|h|: there
+    neither sigmoid rounds to 1, so the difference does not cancel to 0 for
+    large positive h.  Stable for |h| up to +-700.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
+    h = -abs(h)
     return float(abs(expit(2.0 * h + 2.0 * beta * delta) - expit(2.0 * h - 2.0 * beta * delta)))
 
 

@@ -174,7 +174,7 @@ def _explore(
     max_free: int,
 ) -> CouplingTranscript:
     """One coupled exploration drawing from `rng`; `memo` caches conditional
-    marginals by (side, site, revealed spins) across explorations."""
+    marginals by (site, revealed spins) across explorations and sides."""
     g = inst.graph
     _check_boundary_pair(inst, eta, xi)
     if len(inst.free_vertices) > max_free:
@@ -198,7 +198,7 @@ def _explore(
         u = rng.random()
         ps = []
         for i in (0, 1):
-            key = (i, x, tuple(sorted(sigma[i].items())))
+            key = (x, tuple(sorted(sigma[i].items())))
             p = memo.get(key)
             if p is None:
                 p = exact_marginal(unconditioned, x, extra=sigma[i], max_free=max_free)
@@ -231,6 +231,8 @@ def coupled_exploration_sweep(
     Returns (per-vertex disagreement frequency, per-vertex +1 frequency for
     side a, same for side b), each an array over vertices.
     """
+    if trials <= 0:
+        raise ValueError("trials must be > 0")
     rng = np.random.default_rng(seed)
     memo: dict = {}
     n = inst.graph.n

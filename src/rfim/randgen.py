@@ -26,17 +26,16 @@ GENERATOR_VERSION = "pcg64-ndtri-1"
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """IID field distribution: gaussian(variance), two_point(+-h with weights),
-    or a literal file of values."""
+    """IID field distribution: gaussian(variance) or two_point(+-h with
+    weights)."""
 
-    kind: str  # "gaussian" | "two_point" | "file"
+    kind: str  # "gaussian" | "two_point"
     variance: float = 0.0
     magnitude: float = 0.0
     weights: tuple[float, float] = (0.5, 0.5)
-    path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "two_point", "file"):
+        if self.kind not in ("gaussian", "two_point"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if not (math.isfinite(self.variance) and math.isfinite(self.magnitude)):
             raise ValueError("variance and magnitude must be finite")
@@ -69,15 +68,8 @@ def gen_fields(n: int, spec: FieldSpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if spec.kind == "gaussian":
         return gaussian_from_uniform(rng.random(n), spec.variance)
-    if spec.kind == "two_point":
-        sign = np.where(rng.random(n) < spec.weights[0], 1.0, -1.0)
-        return sign * spec.magnitude
-    with open(spec.path) as f:
-        obj = json.load(f)
-    h = np.array(obj["h"], dtype=float)
-    if h.shape != (n,):
-        raise ValueError(f"field file holds {h.shape[0]} values, expected {n}")
-    return h
+    sign = np.where(rng.random(n) < spec.weights[0], 1.0, -1.0)
+    return sign * spec.magnitude
 
 
 def fields_to_json_dict(h: np.ndarray, spec: FieldSpec, seed: int) -> dict:

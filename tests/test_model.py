@@ -156,6 +156,20 @@ def test_influence_bound_extreme_fields_stable():
     assert 0.0 <= influence_bound(8, 350.0, 3.0) < 1.0
 
 
+def test_influence_bound_even_in_h_matches_closed_form():
+    # M = sinh(c) / (cosh 2h + cosh c) with c = 2|beta|delta; a sigmoid
+    # difference taken at large positive h cancels to 0 instead
+    for delta in range(1, 9):
+        for beta in (0.3, 1.0, 3.0):
+            c = 2.0 * beta * delta
+            for h in np.linspace(0.0, 300.0, 601):
+                ref = math.sinh(c) / (math.cosh(2.0 * h) + math.cosh(c))
+                for b in (beta, -beta):
+                    m = influence_bound(delta, h, b)
+                    assert m == influence_bound(delta, -h, b), (delta, h, b)
+                    assert abs(m - ref) <= 1e-12 * ref, (delta, h, b, m, ref)
+
+
 def test_influence_threshold_guarantee():
     # |h| >= |beta|*delta + 0.5*log(1/eps)  implies  M < eps
     for delta in range(9):

@@ -153,6 +153,28 @@ def test_sweep_single_trial_matches_exploration(rng):
         assert np.array_equal(plus_b, t.sigma_b == 1)
 
 
+def test_sweep_rejects_non_positive_trials():
+    inst = IsingInstance(path_graph(6), 1.0, np.zeros(6), {0: 1})
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            coupled_exploration_sweep(inst, {0: 1}, {0: -1}, trials, seed=0)
+
+
+def test_sweep_enumerates_each_conditional_once(monkeypatch):
+    # with eta = xi both sides reveal the same spins, so they share every
+    # conditional marginal
+    inst = IsingInstance(path_graph(6), 0.7, np.linspace(-0.5, 0.5, 6), {0: 1})
+    calls = []
+
+    def counted(inst, v, **kwargs):
+        calls.append((v, tuple(sorted(kwargs["extra"].items()))))
+        return exact_marginal(inst, v, **kwargs)
+
+    monkeypatch.setattr(P, "exact_marginal", counted)
+    coupled_exploration_sweep(inst, {0: 1}, {0: 1}, 200, seed=3)
+    assert len(calls) == len(set(calls))
+
+
 def test_tv_check_requires_eta_xi_on_the_boundary():
     inst = IsingInstance(path_graph(4), 1.0, np.zeros(4), {0: 1})
     for eta, xi in (({}, {}), ({0: 1, 1: 1}, {0: -1, 1: 1})):
