@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 input error, 2 rejection by `check`, 3 no mixing
 guarantee from `glauber`, 4 certified error too large (`count` cannot
-certify its estimate at a forced `--depth`; without one, the depth schedule
-ends with the exact untruncated pass).
+certify its estimate at a forced `--depth`, or the tau schedule of `count`
+or `sample` walked `counting.NODE_BUDGET` SAW-tree nodes without its
+certified error fitting eps).
 
 Each `cmd_*` returns its output object and exit code.  `cli_dispatch` alone
 attaches the run manifest, writes the JSON to stdout (and to `--out`) and
@@ -108,13 +109,14 @@ def cmd_exact(args) -> tuple[dict, int]:
 def cmd_count(args) -> tuple[dict, int]:
     inst = _load_instance(args.instance)
     depth = _parse_depth(args.depth)
-    res = counting.approx_partition(inst, args.eps, depth_override=depth, h0=args.h0)
+    res = counting.approx_partition(inst, args.eps, depth_override=depth)
     report = counting.check_instance(inst, args.eps, h0=args.h0)
     obj = {
         "format": "rfim-count-v1",
         "log_z": res.log_z_estimate,
         "certified_rel_err": res.total_certified_relative_error,
         "depth": -1 if res.depth_used is None else res.depth_used,
+        "tau": res.tau,
         "accepted": bool(report.accepted),
         "per_vertex_err": res.per_vertex_certified_error,
     }
@@ -124,12 +126,11 @@ def cmd_count(args) -> tuple[dict, int]:
 def cmd_sample(args) -> tuple[dict, int]:
     inst = _load_instance(args.instance)
     depth = _parse_depth(args.depth)
-    res = counting.approx_sample(
-        inst, args.eps, args.seed, depth_override=depth, h0=args.h0
-    )
+    res = counting.approx_sample(inst, args.eps, args.seed, depth_override=depth)
     obj = {
         "config": [int(s) for s in res.config],
         "depth": -1 if res.depth_used is None else res.depth_used,
+        "tau": res.tau,
         "tv_budget": float(sum(res.per_vertex_certified_error)),
     }
     return obj, EXIT_OK
@@ -165,6 +166,16 @@ def _json_num(x):
     return x if math.isfinite(x) else "inf"
 
 
+def _config_int(cfg: dict, key: str, default: int, path: str) -> int:
+    """cfg[key] (default when absent) as an int; integral floats count."""
+    x = cfg.get(key, default)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"malformed perc config {path}: {key!r} must be an integer, got {x!r}")
+
+
 def cmd_perc(args) -> tuple[dict, int]:
     try:
         with open(args.config) as f:
@@ -187,8 +198,8 @@ def cmd_perc(args) -> tuple[dict, int]:
     base = os.path.dirname(args.config) or "."
     inst = _load_instance(os.path.join(base, inst_path))
     # the config's values override the flags, and the manifest records them
-    args.trials = int(cfg.get("trials", args.trials))
-    args.seed = int(cfg.get("seed", args.seed))
+    args.trials = _config_int(cfg, "trials", args.trials, args.config)
+    args.seed = _config_int(cfg, "seed", args.seed, args.config)
     report = percolation.tv_domination_check(inst, region, eta, xi, args.trials, args.seed)
     obj = {
         "tv_exact": report.tv_exact,
@@ -253,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", default=None)
+    # no effect since the tau schedule replaced the h0-derived depth; still
+    # parsed and validated so existing command lines keep working
     p.add_argument("--h0", type=_finite, default=None)
 
     p = add("glauber", cmd_glauber)

@@ -7,12 +7,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import max_degree
 from .model import IsingInstance, hamiltonian
-from .sawtree import CertificateReport, SawWalker, rate_constant
+from .sawtree import CertificateReport, NodeBudgetExhausted, SawWalker, rate_constant
 
 # Unused here; kept importable because the perfbench tracer wraps these names
 # on this module.
@@ -27,9 +28,17 @@ from .sawtree import (  # noqa: F401
 #: e/(p_hat - e) is no longer controlled (p_hat >= 1/2).
 STEP_ERROR_LIMIT = 0.25
 
+#: Walker nodes that the tau schedule of one `approx_partition`,
+#: `approx_sample` or `sample_many` call may walk, summed over its attempts.
+NODE_BUDGET = 10**7
+
+#: Factor by which tau falls from one attempt to the next.
+TAU_STEP = 100.0
+
 
 class CertifiedErrorTooLarge(RuntimeError):
-    """A per-step certified error reached 1/4 at the requested depth."""
+    """A per-step certified error reached 1/4 at a forced depth, or the tau
+    schedule ran out of its node budget before its certified error fit."""
 
 
 @dataclass
@@ -37,14 +46,17 @@ class CountResult:
     log_z_estimate: float
     per_vertex_certified_error: list[float]
     total_certified_relative_error: float
-    depth_used: int | None  # None = untruncated
+    # forced depth (None = untruncated), else the kept pass's deepest SawWalk.depth
+    depth_used: int | None
+    tau: float | None  # influence threshold of the kept pass; None when forced
 
 
 @dataclass
 class SampleResult:
     config: np.ndarray
-    depth_used: int | None
+    depth_used: int | None  # as in CountResult, for the certification pass
     per_vertex_certified_error: list[float]
+    tau: float | None
 
 
 def default_h0(delta: int, beta: float) -> float:
@@ -67,7 +79,7 @@ def choose_depth(n: int, eps: float, c1: float, ell0: int) -> int:
 def _schedule(inst: IsingInstance, eps: float, h0: float | None):
     """(h0, rate, depth): the field threshold (default_h0 when None), the
     certified rate (None when the influence condition fails) and the
-    scheduled truncation depth."""
+    scheduled truncation depth of `check_instance`."""
     n = inst.graph.n
     delta = max_degree(inst.graph)
     if h0 is None:
@@ -82,50 +94,79 @@ def _schedule(inst: IsingInstance, eps: float, h0: float | None):
     return h0, rate, depth
 
 
-def _cuts(inst: IsingInstance, eps: float, depth_override, h0) -> list[int | None]:
-    """The cut depths to try, in order; None means untruncated.
-
-    A forced depth (math.inf = untruncated) is the only cut.  Otherwise the
-    scheduled depth, doubled while it stays below n, then the untruncated
-    tree: a SAW has fewer than n edges, so depth n or more is exact.
-    """
+def _check_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
-    n = inst.graph.n
-    if depth_override is not None:
-        cut = None if math.isinf(depth_override) else int(depth_override)
-        return [None if cut is not None and cut >= n else cut]
-    depth = _schedule(inst, eps, h0)[2]
-    cuts = []
-    while depth < n:
-        cuts.append(depth)
-        depth *= 2
-    return cuts + [None]
 
 
-def _first_fit(cuts: list, eps: float, certify):
-    """(cut, result) for the first cut whose certified error fits eps, where
-    `certify(cut)` returns (error, result); (last cut, None) when none fits.
-    The last cut is never certified."""
-    for cut in cuts[:-1]:
-        err, result = certify(cut)
-        if err <= eps:
-            return cut, result
-    return cuts[-1], None
+def _forced_cut(inst: IsingInstance, depth_override) -> int | None:
+    """The uniform cut of a forced depth (math.inf = untruncated); None when
+    untruncated, since a SAW has fewer than n edges."""
+    cut = None if math.isinf(depth_override) else int(depth_override)
+    return None if cut is not None and cut >= inst.graph.n else cut
 
 
-def _telescoping_pass(inst: IsingInstance, cut_depth: int | None):
-    """One greedy pass: fix each free spin to its majority branch.
+class _Budget:
+    """Counts one call's walker nodes against `limit` (None: no limit)."""
 
-    Returns (chosen spins for all vertices, per-step log-ratio terms,
-    per-step certified marginal errors) or raises CertifiedErrorTooLarge.
+    def __init__(self, limit: int | None = None):
+        self.limit, self.used = limit, 0
+
+    def walk(self, walker: SawWalker, v: int, boundary, cut: int | None, tau: float):
+        left = None if self.limit is None else self.limit - self.used
+        res = walker.walk(v, boundary, cut, tau, left)
+        self.used += res.node_count
+        return res
+
+
+def _fit_tau(inst: IsingInstance, eps: float, certify):
+    """(tau, result) for the first tau of eps/(4n), eps/(4n)/TAU_STEP, ...
+    whose pass fits eps, where `certify(tau, budget)` walks under `budget`
+    and returns (certified error, result).
+
+    The passes share one budget of NODE_BUDGET walker nodes; when it runs
+    out, CertifiedErrorTooLarge carries the last certified error.  The
+    schedule ends: once tau underflows to 0 the pass is exact.
     """
+    budget = _Budget(NODE_BUDGET)
+    tau = eps / (4.0 * max(inst.graph.n, 1))
+    last = math.inf
+    while True:
+        try:
+            err, result = certify(tau, budget)
+        except NodeBudgetExhausted as e:
+            raise CertifiedErrorTooLarge(
+                f"node budget ran out after {budget.used + e.nodes} walker nodes at "
+                f"tau={tau:.3g}; last certified error {last:.3g} > eps {eps}"
+            ) from None
+        if err <= eps:
+            return tau, result
+        last = err
+        tau /= TAU_STEP
+
+
+class _Pass(NamedTuple):
+    config: np.ndarray  # the greedy configuration
+    log_r: list[float]  # per-step log-ratio terms
+    step_errs: list[float]  # per-step certified relative errors
+    depth: int  # the walks' deepest SawWalk.depth
+
+
+def _telescoping_pass(
+    inst: IsingInstance, cut_depth: int | None, tau: float = 0.0, budget: _Budget | None = None
+) -> _Pass:
+    """One greedy pass: fix each free spin to its majority branch, walking
+    each tree cut at `cut_depth` and pruned at `tau`, with its nodes counted
+    against `budget` (no limit when None).  Raises CertifiedErrorTooLarge
+    when a step's certified error reaches 1/4."""
     walker = SawWalker(inst)
+    budget = budget or _Budget()
     boundary_now = dict(inst.boundary)
     log_r = []
     step_errs = []
+    depth = 0
     for v in inst.free_vertices:
-        res = walker.walk(v, boundary_now, cut_depth)
+        res = budget.walk(walker, v, boundary_now, cut_depth, tau)
         p, e = res.marginal, res.error
         if e >= STEP_ERROR_LIMIT:
             raise CertifiedErrorTooLarge(
@@ -137,39 +178,48 @@ def _telescoping_pass(inst: IsingInstance, cut_depth: int | None):
             spin, p_hat = -1, 1.0 - p
         log_r.append(-math.log(p_hat))
         step_errs.append(e / (p_hat - e))
+        depth = max(depth, res.depth)
         boundary_now[v] = spin
     config = np.array([boundary_now[v] for v in range(inst.graph.n)], dtype=int)
-    return config, log_r, step_errs
+    return _Pass(config, log_r, step_errs, depth)
 
 
 def approx_partition(
     inst: IsingInstance,
     eps: float,
     depth_override: int | float | None = None,
-    h0: float | None = None,
 ) -> CountResult:
     """Estimate log Z with a certified relative-error bound.
 
-    Runs the telescoping pass at each of `_cuts` in turn and keeps the first
-    whose certified total error fits within eps.  The last cut is kept
-    whatever its error: a forced depth, or the untruncated (exact) pass.
+    With a forced depth (math.inf = untruncated), one telescoping pass at
+    that uniform cut, whatever its certified error.  Otherwise the pass is
+    walked on the influence-pruned frontier at each tau of `_fit_tau`, and
+    the first pass whose certified total error fits eps is kept; the
+    schedule raises CertifiedErrorTooLarge once it has walked NODE_BUDGET
+    nodes.
     """
+    _check_eps(eps)
+    if depth_override is not None:
+        cut = _forced_cut(inst, depth_override)
+        done, tau, depth = _telescoping_pass(inst, cut), None, cut
+    else:
 
-    def certify(cut):
-        try:
-            done = _telescoping_pass(inst, cut)
-        except CertifiedErrorTooLarge:
-            return math.inf, None
-        return sum(done[2]), done
+        def certify(tau, budget):
+            try:
+                done = _telescoping_pass(inst, None, tau, budget)
+            except CertifiedErrorTooLarge:
+                return math.inf, None
+            return sum(done.step_errs), done
 
-    cut, done = _first_fit(_cuts(inst, eps, depth_override, h0), eps, certify)
-    config, log_r, step_errs = done or _telescoping_pass(inst, cut)
-    log_z = -hamiltonian(inst, config) + sum(log_r)
+        tau, done = _fit_tau(inst, eps, certify)
+        depth = done.depth
+    log_z = -hamiltonian(inst, done.config) + sum(done.log_r)
     return CountResult(
         log_z_estimate=float(log_z),
-        per_vertex_certified_error=step_errs,
-        total_certified_relative_error=float(sum(step_errs)),
-        depth_used=cut,
+        per_vertex_certified_error=done.step_errs,
+        total_certified_relative_error=float(sum(done.step_errs)),
+        depth_used=depth,
+        tau=tau,
     )
 
 
@@ -178,14 +228,15 @@ def approx_sample(
     eps: float,
     seed: int,
     depth_override: int | float | None = None,
-    h0: float | None = None,
 ) -> SampleResult:
     """Draw one spin configuration, sequentially sampling each free spin from
     its (approximate) conditional marginal.  Untruncated trees give an exact
     Gibbs draw; truncation adds at most the summed certified errors in total
-    variation."""
+    variation.  The frontier is a forced depth or the first tau of the
+    schedule whose budget fits eps (see `_sample_frontier`); running out of
+    NODE_BUDGET raises CertifiedErrorTooLarge."""
     rng = np.random.default_rng(seed)
-    return _sample_with(inst, eps, rng, depth_override, h0)
+    return _sample_with(inst, eps, rng, depth_override)
 
 
 def sample_many(
@@ -198,47 +249,60 @@ def sample_many(
     """Draw `count` configurations, sharing a marginal cache across draws.
 
     The conditional marginal at each step depends only on the spins already
-    fixed, so repeated draws reuse each other's tree evaluations.  The cut
-    depth depends only on the instance, so it is chosen once for all draws.
-    Returns an array of shape (count, n).
+    fixed, so repeated draws reuse each other's walks.  The frontier depends
+    only on the instance, so `_sample_frontier` chooses it once for all
+    draws; without a forced depth its tau schedule runs under one node
+    budget, and each draw then walks at most the nodes of the kept
+    certification pass.  Returns an array of shape (count, n).
     """
     rng = np.random.default_rng(seed)
     walker = SawWalker(inst)
-    cut = _sample_cut(inst, eps, walker, depth_override, None)
+    frontier = _sample_frontier(inst, eps, walker, depth_override)
     cache: dict = {}
     out = np.empty((count, inst.graph.n), dtype=int)
     for i in range(count):
-        out[i] = _draw(inst, walker, cut, rng, cache).config
+        out[i] = _draw(inst, walker, frontier, rng, cache).config
     return out
 
 
-def _sample_with(inst, eps, rng, depth_override, h0):
+def _sample_with(inst, eps, rng, depth_override):
     walker = SawWalker(inst)
-    cut = _sample_cut(inst, eps, walker, depth_override, h0)
-    return _draw(inst, walker, cut, rng, None)
+    frontier = _sample_frontier(inst, eps, walker, depth_override)
+    return _draw(inst, walker, frontier, rng, None)
 
 
-def _sample_cut(inst, eps, walker, depth_override, h0) -> int | None:
-    """The sampler's cut: the first of `_cuts` whose summed certified errors,
-    walked with only the original boundary, fit the TV budget eps.  This is
-    conservative for the sequential draw: extending the boundary only prunes
-    frontier paths.  Draws no random numbers."""
+def _sample_frontier(inst, eps, walker, depth_override):
+    """The sampler's frontier (cut, tau, depth_used).  A forced depth is the
+    uniform cut alone.  Otherwise the first tau of `_fit_tau` whose summed
+    certified errors, walked with only the original boundary, fit the TV
+    budget eps.  This is conservative for the sequential draw: extending
+    the boundary only turns walked nodes into leaves, and a pruned node's
+    path product is the same in both walks, so a draw's frontier leaves are
+    a subset of these.  Draws no random numbers."""
+    _check_eps(eps)
+    if depth_override is not None:
+        cut = _forced_cut(inst, depth_override)
+        return cut, None, cut
 
-    def certify(cut):
-        total = 0.0
+    def certify(tau, budget):
+        total, depth = 0.0, 0
         for v in inst.free_vertices:
-            e = walker.walk(v, inst.boundary, cut).error
-            if e >= STEP_ERROR_LIMIT:
+            res = budget.walk(walker, v, inst.boundary, None, tau)
+            if res.error >= STEP_ERROR_LIMIT:
                 return math.inf, None
-            total += e
-        return total, None
+            total += res.error
+            depth = max(depth, res.depth)
+        return total, depth
 
-    return _first_fit(_cuts(inst, eps, depth_override, h0), eps, certify)[0]
+    tau, depth = _fit_tau(inst, eps, certify)
+    return None, tau, depth
 
 
-def _draw(inst, walker, cut, rng, cache) -> SampleResult:
-    """One sequential draw at cut depth `cut`; `cache` (or None) maps
-    (vertex, spins fixed so far) to that step's (marginal, certified error)."""
+def _draw(inst, walker, frontier, rng, cache) -> SampleResult:
+    """One sequential draw on `frontier` (cut, tau, depth_used); `cache` (or
+    None) maps (vertex, spins fixed so far) to that step's (marginal,
+    certified error)."""
+    cut, tau, depth = frontier
     boundary_now = dict(inst.boundary)
     step_errs = []
     prefix: list[int] = []
@@ -246,7 +310,7 @@ def _draw(inst, walker, cut, rng, cache) -> SampleResult:
         key = (v, tuple(prefix))
         hit = cache.get(key) if cache is not None else None
         if hit is None:
-            res = walker.walk(v, boundary_now, cut)
+            res = walker.walk(v, boundary_now, cut, tau or 0.0)
             p, e = res.marginal, res.error
             if cache is not None:
                 cache[key] = (p, e)
@@ -257,7 +321,9 @@ def _draw(inst, walker, cut, rng, cache) -> SampleResult:
         boundary_now[v] = spin
         prefix.append(spin)
     config = np.array([boundary_now[v] for v in range(inst.graph.n)], dtype=int)
-    return SampleResult(config=config, depth_used=cut, per_vertex_certified_error=step_errs)
+    return SampleResult(
+        config=config, depth_used=depth, per_vertex_certified_error=step_errs, tau=tau
+    )
 
 
 def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> CertificateReport:
@@ -268,8 +334,7 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     errors through the worst-case composition e/(1/2 - e).  Accepts exactly
     when the aggregate is at most eps.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0,1)")
+    _check_eps(eps)
     h0, rate, depth = _schedule(inst, eps, h0)
     if rate is None:
         return CertificateReport(

@@ -7,14 +7,18 @@ order at the revisited vertex), boundary vertices (spin copied from the
 instance boundary), and truncation-frontier nodes (spin set by policy).
 
 `SawWalker` computes everything the counting layer needs from one
-depth-first walk that keeps only the walk stack.  `build_saw_tree` and the
-functions that take a `SawTree` build the tree in memory and evaluate it in
-separate passes; they are the reference the walker is tested against.
+depth-first walk that keeps only the walk stack.  Its frontier is a uniform
+cut depth, an influence threshold tau (a branch is expanded only while the
+influence product along its path stays at least tau), or both.
+`build_saw_tree` and the functions that take a `SawTree` build the tree in
+memory and evaluate it in separate passes; they are the reference the
+walker is tested against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,19 +45,30 @@ def _child_term(x: float, b2: float) -> float:
             - max(x, b2) - math.log1p(math.exp(-abs(x - b2))))
 
 
+class NodeBudgetExhausted(RuntimeError):
+    """A walk expanded a node after walking more than its `max_nodes`."""
+
+    def __init__(self, nodes: int):
+        super().__init__(f"walk stopped after {nodes} nodes")
+        self.nodes = nodes
+
+
 class SawWalk(NamedTuple):
     """Root quantities of one truncated SAW tree, from a single walk.
 
-    `log_odds` and `error` equal `root_log_odds` and
+    With a uniform cut, `log_odds` and `error` equal `root_log_odds` and
     `certified_truncation_error` on the built tree, `node_count` its
     `node_count`, and `paths_ok` the path rule of `ssm_certificate` (None
-    when the walker was made without h0).
+    when the walker was made without h0).  `depth` is one more than the
+    deepest level the walk expanded (0 when it expanded none): a uniform
+    cut at `depth` expands the same levels.
     """
 
     log_odds: float
     error: float
     node_count: int
     paths_ok: bool | None
+    depth: int
 
     @property
     def marginal(self) -> float:
@@ -89,16 +104,25 @@ class SawWalker:
         root: int,
         boundary: dict[int, int],
         cut_depth: int | None = None,
+        tau: float = 0.0,
+        max_nodes: int | None = None,
     ) -> SawWalk:
         """Walk the tree `build_saw_tree` would build for these arguments,
         with frontier leaves fixed to +1.
+
+        A free child becomes a frontier leaf at depth `cut_depth`, or when
+        the influence product of its expanded ancestors is below `tau`
+        (tau = 0 prunes nothing).  The walk raises NodeBudgetExhausted when
+        it would expand a node after walking more than `max_nodes` nodes.
 
         Iterative depth-first walk in tree order.  Each expanded node keeps a
         frame (vertex, parent, neighbour iterator, running log-odds, influence
         product down to it, free and large counts on its path); a node's
         log-odds is final when its neighbours are exhausted and is then
         folded into its parent's.  The certified error sums, over frontier
-        leaves, the influence products of their expanded ancestors.
+        leaves, the influence products of their expanded ancestors; the
+        bound of `certified_truncation_error` holds leaf by leaf, so it
+        holds for any frontier.
         """
         if not 0 <= root < self.n:
             raise IndexError(f"root {root} out of range")
@@ -106,14 +130,15 @@ class SawWalker:
             raise ValueError("cut_depth must be >= 0")
         paths_ok = True if self.h0 is not None else None
         if root in boundary:
-            return SawWalk(math.inf if boundary[root] == 1 else -math.inf, 0.0, 1, paths_ok)
+            return SawWalk(math.inf if boundary[root] == 1 else -math.inf, 0.0, 1, paths_ok, 0)
         if cut_depth == 0:
-            return SawWalk(math.inf, 1.0, 1, paths_ok)
+            return SawWalk(math.inf, 1.0, 1, paths_ok, 0)
 
         adjacency, influence, large = self.adjacency, self.influence, self.large
         h2, b2 = self.h2, self.b2
         # a SAW has fewer than n edges, so an untruncated walk never reaches n
         last = self.n if cut_depth is None else cut_depth - 1
+        limit = sys.maxsize if max_nodes is None else max_nodes
         child_term = _child_term
 
         path = [root] * self.n  # path[d] = vertex at depth d on the current walk
@@ -124,7 +149,7 @@ class SawWalker:
         total = 0.0
         short = False  # some frontier path has under half its free vertices large
 
-        v, parent, depth = root, -1, 0
+        v, parent, depth, deepest = root, -1, 0, 0
         it = iter(adjacency[root])
         acc = h2[root]
         prod = influence[root]
@@ -143,14 +168,18 @@ class SawWalker:
                 s = boundary.get(w)
                 if s is not None:
                     acc += b2 * s
-                elif depth == last:
+                elif depth == last or prod < tau:
                     total += prod
                     short = short or 2 * n_large < n_free
                     acc += b2  # frontier leaf, fixed to +1
                 else:
+                    if count > limit:
+                        raise NodeBudgetExhausted(count)
                     frames.append((v, parent, it, acc, prod, n_free, n_large))
                     parent, v = v, w
                     depth += 1
+                    if depth > deepest:
+                        deepest = depth
                     path[depth] = w
                     pos[w] = depth
                     it = iter(adjacency[w])
@@ -169,10 +198,9 @@ class SawWalker:
                 v, parent, it, acc, prod, n_free, n_large = frames.pop()
                 acc += term
 
-        error = 0.0 if cut_depth is None else min(total, 1.0)
         if paths_ok is not None:
             paths_ok = not short
-        return SawWalk(acc, error, count, paths_ok)
+        return SawWalk(acc, min(total, 1.0), count, paths_ok, deepest + 1)
 
 
 @dataclass

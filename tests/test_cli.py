@@ -260,6 +260,46 @@ def test_perc_rejects_repeated_region_and_off_boundary_eta_xi(tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
 
+def test_perc_rejects_non_integer_trials_and_seed(tmp_path):
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    M.save(IsingInstance(g, 1.0, np.zeros(4), {0: 1}), str(tmp_path / "inst.json"))
+    base = {"format": "rfim-perc-v1", "instance": "inst.json",
+            "A": [3], "eta": {"0": 1}, "xi": {"0": -1}}
+    for i, extra in enumerate((
+        {"trials": [5]},
+        {"trials": "5"},
+        {"trials": True},
+        {"trials": 2.5},
+        {"seed": {"a": 1}},
+        {"seed": None},
+        {"seed": 1.5},
+    )):
+        cfg_path = tmp_path / f"bad{i}.json"
+        cfg_path.write_text(json.dumps({**base, **extra}))
+        res = run_cli("perc", "--config", str(cfg_path))
+        assert res.returncode == 1, extra
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed perc config"), res.stderr
+    # an integral float is an integer
+    cfg_path = tmp_path / "float.json"
+    cfg_path.write_text(json.dumps({**base, "trials": 200.0, "seed": 3.0}))
+    res = run_cli("perc", "--config", str(cfg_path))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["manifest"]["params"]["trials"] == 200
+
+
+def test_count_and_sample_report_tau(triangle_instance):
+    _, path = triangle_instance
+    for sub in ("count", "sample"):
+        scheduled = json.loads(run_cli(sub, "--instance", path, "--eps", "0.05").stdout)
+        assert scheduled["tau"] == pytest.approx(0.05 / 12) and scheduled["depth"] == 3
+        forced = json.loads(run_cli(sub, "--instance", path, "--depth", "inf").stdout)
+        assert forced["tau"] is None and forced["depth"] == -1
+    forced = json.loads(run_cli("sample", "--instance", path, "--depth", "2").stdout)
+    assert forced["tau"] is None and forced["depth"] == 2
+
+
 def test_grow_subcommand(tmp_path):
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     gpath = tmp_path / "g.json"

@@ -15,6 +15,7 @@ from rfim.counting import (
 )
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_partition, exact_region_law, hamiltonian
+from rfim.randgen import FieldSpec, gen_er_graph, gen_fields
 from rfim.sawtree import SawWalker
 
 from conftest import random_connected_graph
@@ -98,8 +99,8 @@ def test_greedy_sequence_has_mass(rng):
         n = int(rng.integers(2, 8))
         g = random_connected_graph(n, rng)
         inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n))
-        config, log_r, _ = C._telescoping_pass(inst, None)
-        log_p = -hamiltonian(inst, config) - exact_partition(inst)
+        done = C._telescoping_pass(inst, None)
+        log_p = -hamiltonian(inst, done.config) - exact_partition(inst)
         assert log_p >= -n * math.log(2) - 1e-9
 
 
@@ -110,34 +111,88 @@ def test_abort_on_uncontrolled_error():
         approx_partition(inst, 0.1, depth_override=1)
 
 
-def test_adaptive_depth_falls_back_to_exact():
-    # zero fields defeat the certificate, but doubling reaches full depth and
-    # full depth is exact, so the run still succeeds
+def record_count_attempts(monkeypatch):
+    """[(tau, certified error)] of every telescoping pass the counter makes
+    from now on; inf for a pass aborted by a step error of 1/4."""
+    seen = []
+    orig = C._telescoping_pass
+
+    def spy(inst, cut_depth, tau=0.0, budget=None):
+        try:
+            done = orig(inst, cut_depth, tau, budget)
+        except C.CertifiedErrorTooLarge:
+            seen.append((tau, math.inf))
+            raise
+        seen.append((tau, sum(done.step_errs)))
+        return done
+
+    monkeypatch.setattr(C, "_telescoping_pass", spy)
+    return seen
+
+
+def assert_tau_falls_until_fit(seen, n, eps, kept):
+    """The attempts are eps/(4n), divided by TAU_STEP each time, every one
+    but the last fails eps, and the last, which fits, is the kept tau."""
+    taus = [t for t, _ in seen]
+    assert taus == [eps / (4 * n) / C.TAU_STEP**k for k in range(len(seen))]
+    assert all(e > eps for _, e in seen[:-1])
+    assert seen[-1][1] <= eps
+    assert kept == taus[-1]
+
+
+def test_tau_schedule_zero_fields_reaches_exact(monkeypatch):
+    # zero fields defeat the certificate, but at beta 2 every influence
+    # factor is tanh(4), so the first tau prunes nothing: the pass is exact
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     inst = IsingInstance(g, 2.0, np.zeros(4))
+    seen = record_count_attempts(monkeypatch)
     res = approx_partition(inst, 0.1)
-    assert res.depth_used is None
+    assert_tau_falls_until_fit(seen, 4, 0.1, res.tau)
+    assert len(seen) == 1
+    assert res.depth_used == 4  # a SAW of the 4-cycle has at most 3 edges
     assert res.log_z_estimate == pytest.approx(exact_partition(inst), abs=1e-9)
+    assert res.total_certified_relative_error == 0.0
 
 
-def test_adaptive_depth_doubles_before_exact():
-    # on this 10-cycle the scheduled depth d = 2 fails eps; the counter's
-    # sequential pass fits at 2d, while the sampler's original-boundary
-    # budget fits only at 4d, still below n
+def test_tau_schedule_falls_until_error_fits(monkeypatch):
+    # on the 10-cycle the first tau already fits, for the counter's
+    # sequential pass and for the sampler's original-boundary budget
     n = 10
     g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     inst = IsingInstance(g, 0.4, np.full(n, 1.2))
-    d = C._schedule(inst, 0.1, None)[2]
-    assert d == 2
-    assert approx_partition(inst, 0.1, depth_override=d).total_certified_relative_error > 0.1
+    seen = record_count_attempts(monkeypatch)
     res = approx_partition(inst, 0.1)
-    assert res.depth_used == 2 * d
+    assert_tau_falls_until_fit(seen, n, 0.1, res.tau)
     assert res.total_certified_relative_error <= 0.1
+    assert abs(res.log_z_estimate - exact_partition(inst)) <= res.total_certified_relative_error
 
     walker = SawWalker(inst)
-    budget = {c: sum(walker.walk(v, {}, c).error for v in range(n)) for c in (d, 2 * d, 4 * d)}
-    assert budget[d] > 0.1 and budget[2 * d] > 0.1 and budget[4 * d] <= 0.1
-    assert approx_sample(inst, 0.1, 0).depth_used == 4 * d
+    tau = 0.1 / (4 * n)
+    walks = [walker.walk(v, {}, None, tau) for v in range(n)]
+    assert sum(w.error for w in walks) <= 0.1
+    sample = approx_sample(inst, 0.1, 0)
+    assert sample.tau == tau and sample.depth_used == max(w.depth for w in walks)
+    assert sum(sample.per_vertex_certified_error) <= 0.1
+
+    # on ER(16, 3) at zero fields the first pass certifies 0.124 > 0.1, and
+    # tau falls once, to a pass that prunes nothing
+    g = gen_er_graph(16, 3.0, 0)
+    inst = IsingInstance(g, 0.2, np.zeros(16))
+    seen.clear()
+    res = approx_partition(inst, 0.1)
+    assert_tau_falls_until_fit(seen, 16, 0.1, res.tau)
+    assert len(seen) == 2
+    assert res.log_z_estimate == pytest.approx(exact_partition(inst), abs=1e-9)
+    assert res.total_certified_relative_error <= 0.1
+
+    # the sampler's original-boundary budget falls the same way
+    walker = SawWalker(inst)
+    taus = [t for t, _ in seen]
+    budget = [sum(walker.walk(v, {}, None, t).error for v in range(16)) for t in taus]
+    assert budget[0] > 0.1 and budget[1] <= 0.1
+    sample = approx_sample(inst, 0.1, 0)
+    assert sample.tau == taus[1]
+    assert sum(sample.per_vertex_certified_error) <= 0.1
 
 
 def test_sampler_product_measure(rng):
@@ -196,7 +251,7 @@ def test_sample_many_matches_individual_draws(rng):
     batch = sample_many(inst, 0.1, 3, 5, depth_override=math.inf)
     rng2 = np.random.default_rng(3)
     for i in range(5):
-        res = C._sample_with(inst, 0.1, rng2, math.inf, None)
+        res = C._sample_with(inst, 0.1, rng2, math.inf)
         assert np.array_equal(batch[i], res.config)
 
 
@@ -246,3 +301,48 @@ def test_count_result_fields_consistent():
     assert res.total_certified_relative_error == pytest.approx(
         sum(res.per_vertex_certified_error), rel=1e-9
     )
+
+
+def variance_25_instance():
+    g = gen_er_graph(200, 3.0, seed=9000)
+    h = gen_fields(200, FieldSpec("gaussian", variance=25.0), seed=9500)
+    return IsingInstance(g, 0.3, h)
+
+
+def test_variance_25_certifies_under_the_node_budget():
+    # the uniform-depth schedule of earlier versions did not finish here
+    inst = variance_25_instance()
+    res = approx_partition(inst, 0.01)
+    assert res.total_certified_relative_error <= 0.01
+    assert res.tau is not None and res.depth_used > 0
+    sample = approx_sample(inst, 0.01, 0)
+    assert sum(sample.per_vertex_certified_error) <= 0.01
+
+
+def test_node_budget_exhaustion_raises(monkeypatch, tmp_path, capsys):
+    inst = variance_25_instance()
+    monkeypatch.setattr(C, "NODE_BUDGET", 5000)
+    with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
+        approx_partition(inst, 0.01)
+    with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
+        approx_sample(inst, 0.01, 0)
+    with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
+        sample_many(inst, 0.01, 0, 3)
+    # a forced depth walks one pass without a budget
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    square = IsingInstance(g, 0.5, np.full(4, 0.5))
+    monkeypatch.setattr(C, "NODE_BUDGET", 1)
+    res = approx_partition(square, 0.1, depth_override=math.inf)
+    assert res.tau is None and res.depth_used is None
+    assert res.log_z_estimate == pytest.approx(exact_partition(square), abs=1e-9)
+
+    from rfim.cli import cli_dispatch
+
+    path = tmp_path / "inst.json"
+    M.save(inst, str(path))
+    capsys.readouterr()
+    assert cli_dispatch(["count", "--instance", str(path), "--eps", "0.01"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: node budget")

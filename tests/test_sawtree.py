@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from rfim.graph import Graph, max_degree
 from rfim.model import IsingInstance, exact_marginal, influence_bound
 from rfim.sawtree import (
+    NodeBudgetExhausted,
+    SawTree,
     SawWalker,
     build_saw_tree,
     certified_truncation_error,
@@ -289,3 +291,81 @@ def test_walker_untruncated_deep_path(rng):
     inst = IsingInstance(g, 0.5, rng.uniform(-1, 1, n))
     for root in (0, n // 3):
         assert_walk_matches_tree(inst, root, None, 0.5)
+
+
+def prune_reference(inst, root, tau):
+    """The untruncated reference tree with every free child whose expanded
+    ancestors' influence product is below tau turned into a +1 frontier
+    leaf: (tree, depth), depth being one more than the deepest expanded
+    level.  Evaluated with `root_log_odds` and `certified_truncation_error`,
+    it is the oracle for `SawWalker.walk(..., tau=tau)`."""
+    g, beta = inst.graph, inst.beta
+    tree = build_saw_tree(g, inst, root)
+    count, deepest = 1, 0
+    stack = [(tree.root, 1.0)]  # expanded free nodes
+    while stack:
+        node, prod = stack.pop()
+        deepest = max(deepest, node.depth)
+        prod *= influence_bound(node.tree_degree(), node.field, beta)
+        for c in node.children:
+            count += 1
+            if c.fixed_spin is not None:
+                continue
+            if prod < tau:
+                c.fixed_spin, c.frontier, c.children = +1, True, []
+            else:
+                stack.append((c, prod))
+    # any non-None cut makes certified_truncation_error sum the frontier
+    return SawTree(tree.root, 0, count), deepest + 1
+
+
+@st.composite
+def pruned_cases(draw):
+    n = draw(st.integers(1, 12))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges |= {(min(a, b), max(a, b)) for a, b in draw(st.lists(pairs, max_size=5)) if a != b}
+    g = Graph.from_edges(n, edges)
+    finite = {"allow_nan": False, "allow_infinity": False}
+    beta = draw(st.floats(-2.0, 2.0, **finite))
+    h = draw(st.lists(st.floats(-4.0, 4.0, **finite), min_size=n, max_size=n))
+    root = draw(st.integers(0, n - 1))
+    others = st.integers(0, n - 1).filter(lambda v: v != root)
+    boundary = draw(st.dictionaries(others, st.sampled_from([-1, 1]), max_size=n // 2))
+    cut = draw(st.integers(1, n))
+    return IsingInstance(g, beta, np.array(h), boundary), root, cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(pruned_cases())
+def test_pruned_walk_is_sound(case):
+    # the certified error bounds the marginal's distance from the exact one
+    # on any frontier; the pruned frontier is the one the tau rule defines
+    inst, root, cut = case
+    exact = exact_marginal(inst, root)
+    walker = SawWalker(inst)
+    res = walker.walk(root, inst.boundary, cut)
+    assert abs(res.marginal - exact) <= res.error + 1e-12
+    for tau in (0.5, 0.1, 1e-3):
+        res = walker.walk(root, inst.boundary, None, tau)
+        assert abs(res.marginal - exact) <= res.error + 1e-12
+        tree, depth = prune_reference(inst, root, tau)
+        assert res.node_count == tree.node_count
+        assert res.depth == depth
+        assert res.log_odds == pytest.approx(root_log_odds(tree, inst.beta), rel=0, abs=1e-12)
+        assert res.error == pytest.approx(
+            min(certified_truncation_error(tree, inst.beta), 1.0), rel=1e-12, abs=0
+        )
+
+
+def test_walk_stops_past_max_nodes():
+    g = Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    walker = SawWalker(zero_inst(g, beta=0.5))
+    full = walker.walk(0, {}).node_count
+    assert walker.walk(0, {}, max_nodes=full).node_count == full
+    with pytest.raises(NodeBudgetExhausted) as info:
+        walker.walk(0, {}, max_nodes=100)
+    # it stops at its first expansion past the limit; the leaves walked
+    # since the last expansion are at most 5 per level of the walk stack
+    assert 100 < info.value.nodes <= 100 + 5 * 6
