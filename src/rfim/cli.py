@@ -1,10 +1,14 @@
 """Command-line surface: JSON on stdout, diagnostics on stderr.
 
-Exit codes: 0 success, 1 input error, 2 rejection by `check`, 3 no mixing
-guarantee from `glauber`, 4 certified error too large (`count` cannot
+Exit codes: 0 success, 1 input error, 2 rejection by `check` (certified
+error above eps, or its walks ran out of `counting.NODE_BUDGET` nodes), 3 no
+mixing guarantee from `glauber`, 4 certified error too large (`count` cannot
 certify its estimate at a forced `--depth`, or the tau schedule of `count`
 or `sample` walked `counting.NODE_BUDGET` SAW-tree nodes without its
 certified error fitting eps).
+
+A forced `--depth` gives no eps guarantee: `count` and `sample` only report
+their bound, and `count` exits 4 only once a step's error reaches 1/4.
 
 Each `cmd_*` returns its output object and exit code.  `cli_dispatch` alone
 attaches the run manifest, writes the JSON to stdout (and to `--out`) and
@@ -264,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", default=None)
-    # no effect since the tau schedule replaced the h0-derived depth; still
-    # parsed and validated so existing command lines keep working
-    p.add_argument("--h0", type=_finite, default=None)
 
     p = add("glauber", cmd_glauber)
     p.add_argument("--instance", required=True)

@@ -29,7 +29,8 @@ from .sawtree import (  # noqa: F401
 STEP_ERROR_LIMIT = 0.25
 
 #: Walker nodes that the tau schedule of one `approx_partition`,
-#: `approx_sample` or `sample_many` call may walk, summed over its attempts.
+#: `approx_sample` or `sample_many` call may walk, summed over its attempts,
+#: and that the uniform-depth walks of one `check_instance` call may walk.
 NODE_BUDGET = 10**7
 
 #: Factor by which tau falls from one attempt to the next.
@@ -76,33 +77,15 @@ def choose_depth(n: int, eps: float, c1: float, ell0: int) -> int:
     return max(math.ceil(math.log(4.0 * n / eps) / c1), ell0)
 
 
-def _schedule(inst: IsingInstance, eps: float, h0: float | None):
-    """(h0, rate, depth): the field threshold (default_h0 when None), the
-    certified rate (None when the influence condition fails) and the
-    scheduled truncation depth of `check_instance`."""
-    n = inst.graph.n
-    delta = max_degree(inst.graph)
-    if h0 is None:
-        h0 = default_h0(delta, inst.beta)
-    rate = rate_constant(delta, h0, inst.beta)
-    if rate is None:
-        depth = max(2, math.ceil(math.log(4.0 * n / eps)))
-    else:
-        # ell0: the depth at which the certified decay reaches 1/n
-        ell0 = 0 if math.isinf(rate) else math.ceil(math.log(max(n, 2)) / rate)
-        depth = choose_depth(n, eps, rate, ell0)
-    return h0, rate, depth
-
-
 def _check_eps(eps: float) -> None:
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
 
 
-def _forced_cut(inst: IsingInstance, depth_override) -> int | None:
-    """The uniform cut of a forced depth (math.inf = untruncated); None when
+def _forced_cut(inst: IsingInstance, depth) -> int | None:
+    """The uniform cut of a depth (math.inf = untruncated); None when
     untruncated, since a SAW has fewer than n edges."""
-    cut = None if math.isinf(depth_override) else int(depth_override)
+    cut = None if math.isinf(depth) else int(depth)
     return None if cut is not None and cut >= inst.graph.n else cut
 
 
@@ -234,9 +217,13 @@ def approx_sample(
     Gibbs draw; truncation adds at most the summed certified errors in total
     variation.  The frontier is a forced depth or the first tau of the
     schedule whose budget fits eps (see `_sample_frontier`); running out of
-    NODE_BUDGET raises CertifiedErrorTooLarge."""
+    NODE_BUDGET raises CertifiedErrorTooLarge.  A forced depth gives no eps
+    guarantee: the draw only reports its summed certified errors, whatever
+    their size."""
     rng = np.random.default_rng(seed)
-    return _sample_with(inst, eps, rng, depth_override)
+    walker = SawWalker(inst)
+    frontier = _sample_frontier(inst, eps, walker, depth_override)
+    return _draw(inst, walker, frontier, rng, {})
 
 
 def sample_many(
@@ -263,12 +250,6 @@ def sample_many(
     for i in range(count):
         out[i] = _draw(inst, walker, frontier, rng, cache).config
     return out
-
-
-def _sample_with(inst, eps, rng, depth_override):
-    walker = SawWalker(inst)
-    frontier = _sample_frontier(inst, eps, walker, depth_override)
-    return _draw(inst, walker, frontier, rng, None)
 
 
 def _sample_frontier(inst, eps, walker, depth_override):
@@ -298,28 +279,25 @@ def _sample_frontier(inst, eps, walker, depth_override):
     return None, tau, depth
 
 
-def _draw(inst, walker, frontier, rng, cache) -> SampleResult:
-    """One sequential draw on `frontier` (cut, tau, depth_used); `cache` (or
-    None) maps (vertex, spins fixed so far) to that step's (marginal,
-    certified error)."""
+def _draw(inst, walker, frontier, rng, cache: dict) -> SampleResult:
+    """One sequential draw on `frontier` (cut, tau, depth_used).  `cache` is
+    a trie over the spins fixed so far: a node holds its step's (marginal,
+    certified error) under None and its children under +1 and -1, so a
+    draw adds at most one node per step."""
     cut, tau, depth = frontier
     boundary_now = dict(inst.boundary)
     step_errs = []
-    prefix: list[int] = []
+    node = cache
     for v in inst.free_vertices:
-        key = (v, tuple(prefix))
-        hit = cache.get(key) if cache is not None else None
-        if hit is None:
+        step = node.get(None)
+        if step is None:
             res = walker.walk(v, boundary_now, cut, tau or 0.0)
-            p, e = res.marginal, res.error
-            if cache is not None:
-                cache[key] = (p, e)
-        else:
-            p, e = hit
+            step = node[None] = (res.marginal, res.error)
+        p, e = step
         spin = +1 if rng.random() < p else -1
         step_errs.append(e)
         boundary_now[v] = spin
-        prefix.append(spin)
+        node = node.setdefault(spin, {})
     config = np.array([boundary_now[v] for v in range(inst.graph.n)], dtype=int)
     return SampleResult(
         config=config, depth_used=depth, per_vertex_certified_error=step_errs, tau=tau
@@ -329,13 +307,19 @@ def _draw(inst, walker, frontier, rng, cache) -> SampleResult:
 def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> CertificateReport:
     """Per-instance acceptance certificate for the counting run.
 
-    Walks each vertex's SAW tree at the scheduled depth, checks the
-    strong-spatial-mixing certificate, and aggregates per-vertex certified
-    errors through the worst-case composition e/(1/2 - e).  Accepts exactly
-    when the aggregate is at most eps.
+    Walks each vertex's SAW tree at the uniform depth
+    max{ceil(log(4n/eps)/rate), ell0}, checks the strong-spatial-mixing
+    certificate, and aggregates per-vertex certified errors through the
+    worst-case composition e/(1/2 - e).  Accepts exactly when the aggregate
+    is at most eps.  The walks share a budget of NODE_BUDGET walker nodes;
+    when it runs out the instance is rejected.
     """
     _check_eps(eps)
-    h0, rate, depth = _schedule(inst, eps, h0)
+    n = inst.graph.n
+    delta = max_degree(inst.graph)
+    if h0 is None:
+        h0 = default_h0(delta, inst.beta)
+    rate = rate_constant(delta, h0, inst.beta)
     if rate is None:
         return CertificateReport(
             influence_ok=False,
@@ -345,16 +329,21 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
             accepted=False,
             reason=f"influence condition fails at h0={h0:.4g}",
         )
-    cut = None if depth >= inst.graph.n else depth
+    # ell0: the depth at which the certified decay reaches 1/n
+    ell0 = 0 if math.isinf(rate) else math.ceil(math.log(max(n, 2)) / rate)
+    depth = choose_depth(n, eps, rate, ell0)
+    cut = _forced_cut(inst, depth)
 
     walker = SawWalker(inst, h0)
-    per_vertex = []
-    paths_ok_all = True
-    for v in inst.free_vertices:
-        res = walker.walk(v, inst.boundary, cut)
-        per_vertex.append(res.error)
-        paths_ok_all = paths_ok_all and res.paths_ok
+    budget = _Budget(NODE_BUDGET)
+    try:
+        walks = [budget.walk(walker, v, inst.boundary, cut, 0.0) for v in inst.free_vertices]
+    except NodeBudgetExhausted as e:
+        reason = f"node budget ran out after {budget.used + e.nodes} walker nodes at depth {depth}"
+        return CertificateReport(influence_ok=True, paths_ok=False, rate=rate, h0=h0,
+                                 accepted=False, reason=reason, depth=depth)
 
+    per_vertex = [w.error for w in walks]
     if any(e >= STEP_ERROR_LIMIT for e in per_vertex):
         total = math.inf
     else:
@@ -362,7 +351,7 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     accepted = total <= eps
     return CertificateReport(
         influence_ok=True,
-        paths_ok=paths_ok_all,
+        paths_ok=all(w.paths_ok for w in walks),
         rate=rate,
         h0=h0,
         accepted=accepted,

@@ -140,12 +140,16 @@ def test_check_infinite_rate_is_valid_json(tmp_path):
 
 def test_non_finite_arguments_exit_one(triangle_instance):
     _, path = triangle_instance
-    for sub in ("count", "check", "sample"):
+    for sub in ("count", "check"):
         for h0 in ("nan", "inf"):
             res = run_cli(sub, "--instance", path, "--h0", h0)
             assert res.returncode == 1, (sub, h0)
             assert res.stdout == ""
             assert "error:" in res.stderr and "--h0" in res.stderr and "finite" in res.stderr
+    # sample has no --h0: its tau schedule does not read a field threshold
+    res = run_cli("sample", "--instance", path, "--h0", "1")
+    assert res.returncode == 1
+    assert res.stdout == "" and "--h0" in res.stderr
     for arg in ("--variance=nan", "--variance=inf", "--variance=-inf", "--magnitude=nan"):
         res = run_cli("gen-fields", "--n", "4", arg)
         assert res.returncode == 1, arg
@@ -296,8 +300,12 @@ def test_count_and_sample_report_tau(triangle_instance):
         assert scheduled["tau"] == pytest.approx(0.05 / 12) and scheduled["depth"] == 3
         forced = json.loads(run_cli(sub, "--instance", path, "--depth", "inf").stdout)
         assert forced["tau"] is None and forced["depth"] == -1
-    forced = json.loads(run_cli("sample", "--instance", path, "--depth", "2").stdout)
+    # a forced depth gives no eps guarantee: sample only reports its budget
+    res = run_cli("sample", "--instance", path, "--depth", "2")
+    assert res.returncode == 0
+    forced = json.loads(res.stdout)
     assert forced["tau"] is None and forced["depth"] == 2
+    assert forced["tv_budget"] > 0.1  # the default eps
 
 
 def test_grow_subcommand(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,9 +252,43 @@ def test_sample_many_matches_individual_draws(rng):
     inst = IsingInstance(g, 0.5, rng.uniform(-1, 1, 5))
     batch = sample_many(inst, 0.1, 3, 5, depth_override=math.inf)
     rng2 = np.random.default_rng(3)
+    walker = SawWalker(inst)
+    frontier = C._sample_frontier(inst, 0.1, walker, math.inf)
     for i in range(5):
-        res = C._sample_with(inst, 0.1, rng2, math.inf)
+        res = C._draw(inst, walker, frontier, rng2, {})
         assert np.array_equal(batch[i], res.config)
+
+
+def test_approx_sample_is_first_draw_of_sample_many(rng):
+    g = random_connected_graph(7, rng)
+    inst = IsingInstance(g, 0.6, rng.uniform(-1.5, 1.5, 7), {2: -1})
+    for depth in (None, math.inf, 2):
+        res = approx_sample(inst, 0.1, 5, depth_override=depth)
+        first = sample_many(inst, 0.1, 5, 1, depth_override=depth)[0]
+        assert np.array_equal(res.config, first)
+        walker = SawWalker(inst)
+        frontier = C._sample_frontier(inst, 0.1, walker, depth)
+        again = C._draw(inst, walker, frontier, np.random.default_rng(5), {})
+        assert np.array_equal(again.config, first)
+        assert again.per_vertex_certified_error == res.per_vertex_certified_error
+
+
+def test_sample_many_memory_is_linear():
+    # the marginal cache is a trie over the spins fixed so far, so each draw
+    # stores O(n) entries; keying it by whole prefixes stored O(n^2)
+    import tracemalloc
+
+    n = 2000
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    inst = IsingInstance(g, 0.3, gen_fields(n, FieldSpec("gaussian", variance=1.0), 1))
+    tracemalloc.start()
+    try:
+        out = sample_many(inst, 0.1, 3, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (5, n)
+    assert peak < 16e6, peak
 
 
 def test_check_accepts_high_fields(rng):
@@ -346,3 +382,23 @@ def test_node_budget_exhaustion_raises(monkeypatch, tmp_path, capsys):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: node budget")
+
+
+def test_check_rejects_when_node_budget_runs_out(monkeypatch, tmp_path, capsys):
+    inst = variance_25_instance()
+    monkeypatch.setattr(C, "NODE_BUDGET", 500)
+    report = check_instance(inst, 0.01)
+    assert not report.accepted and report.influence_ok
+    assert report.paths_ok is False and report.certified_rel_err is None
+    assert report.depth == 4
+    assert re.fullmatch(r"node budget ran out after \d+ walker nodes at depth 4", report.reason)
+
+    from rfim.cli import cli_dispatch
+
+    path = tmp_path / "inst.json"
+    M.save(inst, str(path))
+    capsys.readouterr()
+    assert cli_dispatch(["check", "--instance", str(path), "--eps", "0.01"]) == 2
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["accepted"] is False and obj["reason"] == report.reason
+    assert obj["certified_rel_err"] is None and obj["depth"] == 4
