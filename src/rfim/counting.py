@@ -105,26 +105,31 @@ class _Budget:
 def _fit_tau(inst: IsingInstance, eps: float, certify):
     """(tau, result) for the first tau of eps/(4n), eps/(4n)/TAU_STEP, ...
     whose pass fits eps, where `certify(tau, budget)` walks under `budget`
-    and returns (certified error, result).
+    and returns (certified error, result), the error math.inf when a step's
+    certified error reached STEP_ERROR_LIMIT.
 
     The passes share one budget of NODE_BUDGET walker nodes; when it runs
-    out, CertifiedErrorTooLarge carries the last certified error.  The
-    schedule ends: once tau underflows to 0 the pass is exact.
+    out, CertifiedErrorTooLarge says how the last finished pass failed, or
+    that none finished.  The schedule ends: once tau underflows to 0 the
+    pass is exact.
     """
     budget = _Budget(NODE_BUDGET)
     tau = eps / (4.0 * max(inst.graph.n, 1))
-    last = math.inf
+    last = "no tau pass finished"
     while True:
         try:
             err, result = certify(tau, budget)
         except NodeBudgetExhausted as e:
             raise CertifiedErrorTooLarge(
                 f"node budget ran out after {budget.used + e.nodes} walker nodes at "
-                f"tau={tau:.3g}; last certified error {last:.3g} > eps {eps}"
+                f"tau={tau:.3g}; {last}"
             ) from None
         if err <= eps:
             return tau, result
-        last = err
+        if math.isinf(err):
+            last = f"the pass at tau={tau:.3g} stopped at a step error >= {STEP_ERROR_LIMIT}"
+        else:
+            last = f"last certified error {err:.3g} > eps {eps}"
         tau /= TAU_STEP
 
 

@@ -6,10 +6,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .graph import max_degree
-from .model import IsingInstance, influence_bound
+from .model import IsingInstance, expit, influence_bound
 
 #: Most updates one chain draws from the generator at once.
 _DRAW_BLOCK = 1 << 16
@@ -18,7 +17,7 @@ _DRAW_BLOCK = 1 << 16
 def conditional_plus_probability(inst: IsingInstance, config: np.ndarray, x: int) -> float:
     """Exact Gibbs conditional P(sigma_x = +1 | neighbor spins)."""
     neigh_sum = sum(config[y] for y in inst.graph.adjacency[x])
-    return float(expit(2.0 * inst.fields[x] + 2.0 * inst.beta * neigh_sum))
+    return expit(2.0 * inst.fields[x] + 2.0 * inst.beta * neigh_sum)
 
 
 def mixing_time_bound(n: int, delta: int, beta: float, h_min: float, eps: float) -> int | None:
@@ -54,16 +53,17 @@ def _conditional_table(inst: IsingInstance) -> tuple[list[float], list[int]]:
     """Every heat-bath conditional of the instance, O(n + m) entries.
 
     P(sigma_x = +1 | neighbor spin sum s) is table[centre[x] + s] for s in
-    [-deg x, deg x], computed with the expression of
+    [-deg x, deg x], computed entry by entry with the expression of
     `conditional_plus_probability`, so both agree bit for bit.
     """
-    deg = np.array([len(a) for a in inst.graph.adjacency], dtype=np.intp)
-    width = 2 * deg + 1
-    centre = np.cumsum(width) - width + deg
-    owner = np.repeat(np.arange(inst.graph.n), width)
-    s = np.arange(len(owner)) - centre[owner]
-    table = expit(2.0 * inst.fields[owner] + 2.0 * inst.beta * s)
-    return table.tolist(), centre.tolist()
+    b2 = 2.0 * inst.beta
+    table, centre = [], []
+    for h, neighbours in zip(inst.fields.tolist(), inst.graph.adjacency):
+        deg = len(neighbours)
+        centre.append(len(table) + deg)
+        h2 = 2.0 * h
+        table += [expit(h2 + b2 * s) for s in range(-deg, deg + 1)]
+    return table, centre
 
 
 def run_chains(

@@ -2,7 +2,9 @@
 function bounding how far a vertex's conditional marginal can swing.
 
 All partition values are carried in log space; large Gaussian fields make
-e^{2h} overflow in linear space.
+e^{2h} overflow in linear space.  Only the exact oracles import scipy (for
+`logsumexp`), inside the functions, so counting, sampling and Glauber
+dynamics run on numpy alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
 from . import graph as graphmod
 from .graph import Graph
@@ -25,6 +26,18 @@ DEFAULT_ENUMERATION_CAP = 24
 
 #: The exact oracles sum out at most this many free vertices in one table.
 _TABLE_BITS = 16
+
+
+def expit(x: float) -> float:
+    """The logistic sigmoid 1 / (1 + e^-x) of a scalar.
+
+    The same expression as `scipy.special.expit`, so the two agree bit for
+    bit; below about -709, where e^-x overflows, the result is 0.0.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
 
 class EnumerationTooLarge(ValueError):
@@ -132,6 +145,8 @@ def _region_log_z(inst: IsingInstance, region: list[int]) -> np.ndarray:
     if others and len(region) + len(others) > _TABLE_BITS:
         halves = [_region_log_z(inst.with_extra_boundary({others[-1]: s}), region) for s in (-1, 1)]
         return np.logaddexp(*halves)
+    from scipy.special import logsumexp
+
     table = _log_weights(inst, region + others)
     return logsumexp(table.reshape(1 << len(region), -1), axis=1)
 
@@ -161,7 +176,7 @@ def exact_marginal(
         raise ValueError(f"vertex {v} out of range")
     _check_cap(len(cond.free_vertices) - 1, max_free)
     log_minus, log_plus = _region_log_z(cond, [v])
-    return float(expit(log_plus - log_minus))
+    return expit(log_plus - log_minus)
 
 
 def exact_region_law(
@@ -178,6 +193,8 @@ def exact_region_law(
             raise ValueError(f"region vertex {v} is not free")
     if len(set(region)) != len(region):
         raise ValueError(f"region {list(region)} repeats a vertex")
+    from scipy.special import logsumexp
+
     log_z = _region_log_z(inst, list(region))
     prob = np.exp(log_z - logsumexp(log_z))
     return dict(zip(itertools.product((-1, 1), repeat=len(region)), prob.tolist()))
@@ -189,12 +206,13 @@ def influence_bound(delta: float, h: float, beta: float) -> float:
 
     M is even in h, and the sigmoid difference is evaluated at -|h|: there
     neither sigmoid rounds to 1, so the difference does not cancel to 0 for
-    large positive h.  Stable for |h| up to +-700.
+    large positive h.  Any finite h is accepted: once 2|h| - 2|beta|*delta
+    exceeds about 709, both sigmoids are 0.0 and so is M.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
     h = -abs(h)
-    return float(abs(expit(2.0 * h + 2.0 * beta * delta) - expit(2.0 * h - 2.0 * beta * delta)))
+    return abs(expit(2.0 * h + 2.0 * beta * delta) - expit(2.0 * h - 2.0 * beta * delta))
 
 
 def to_json_dict(inst: IsingInstance) -> dict:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .graph import Graph, bfs_distances
 from .model import IsingInstance
@@ -60,6 +59,8 @@ def gen_er_graph(n: int, delta: float, seed: int) -> Graph:
 
 def gaussian_from_uniform(u: np.ndarray, variance: float) -> np.ndarray:
     """N(0, variance) draws via the inverse CDF; no rejection steps."""
+    from scipy.special import ndtri  # here, so importing rfim loads no scipy
+
     u = np.clip(u, 1e-17, 1.0 - 1e-16)
     return ndtri(u) * math.sqrt(variance)
 

@@ -25,11 +25,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import Graph
-from .model import IsingInstance, influence_bound
+from .model import IsingInstance, expit, influence_bound
 
 
 def _sigmoid(x: float) -> float:
-    """1 / (1 + e^-x), without overflow for any x including +-inf."""
+    """1 / (1 + e^-x), without overflow for any x including +-inf.
+
+    For x < 0 this rounds differently from `rfim.model.expit`; the count and
+    sample outputs are pinned to these bits, so the walker keeps it.
+    """
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
@@ -83,7 +87,9 @@ class SawWalker:
     An expanded node's tree degree equals its graph degree (the root has no
     parent, every other node has all neighbours but its parent as children),
     so its influence bound M_v = influence_bound(deg v, h_v, beta) is
-    computed once here rather than once per node.
+    computed once here rather than once per node.  The walks share one
+    vertex-position list, so a walk costs memory and time in the nodes it
+    walks, not in n, and one walker runs one walk at a time.
     """
 
     def __init__(self, inst: IsingInstance, h0: float | None = None):
@@ -98,6 +104,8 @@ class SawWalker:
         # a vertex counts as large when |h| >= h0; without h0 all do, so the
         # path rule never fails and is reported as None
         self.large = [1] * g.n if h0 is None else [int(abs(x) >= h0) for x in h]
+        # pos[w] = depth of w on the current walk, or -1; all -1 between walks
+        self._pos = [-1] * g.n
 
     def walk(
         self,
@@ -141,8 +149,8 @@ class SawWalker:
         limit = sys.maxsize if max_nodes is None else max_nodes
         child_term = _child_term
 
-        path = [root] * self.n  # path[d] = vertex at depth d on the current walk
-        pos = [-1] * self.n  # pos[w] = depth of w on the current walk, or -1
+        path = [root]  # path[d] = vertex at depth d on the current walk
+        pos = self._pos
         pos[root] = 0
         frames = []
         count = 1
@@ -154,49 +162,54 @@ class SawWalker:
         acc = h2[root]
         prod = influence[root]
         n_free, n_large = 1, large[root]
-        while True:
-            for w in it:
-                if w == parent:
-                    continue
-                count += 1
-                j = pos[w]
-                if j >= 0:
-                    # cycle-closing leaf: +1 when the closing edge (w, v) comes
-                    # after the starting edge (w, path[j+1]) at w
-                    acc += b2 if v > path[j + 1] else -b2
-                    continue
-                s = boundary.get(w)
-                if s is not None:
-                    acc += b2 * s
-                elif depth == last or prod < tau:
-                    total += prod
-                    short = short or 2 * n_large < n_free
-                    acc += b2  # frontier leaf, fixed to +1
+        try:
+            while True:
+                for w in it:
+                    if w == parent:
+                        continue
+                    count += 1
+                    j = pos[w]
+                    if j >= 0:
+                        # cycle-closing leaf: +1 when the closing edge (w, v)
+                        # comes after the starting edge (w, path[j+1]) at w
+                        acc += b2 if v > path[j + 1] else -b2
+                        continue
+                    s = boundary.get(w)
+                    if s is not None:
+                        acc += b2 * s
+                    elif depth == last or prod < tau:
+                        total += prod
+                        short = short or 2 * n_large < n_free
+                        acc += b2  # frontier leaf, fixed to +1
+                    else:
+                        if count > limit:
+                            raise NodeBudgetExhausted(count)
+                        frames.append((v, parent, it, acc, prod, n_free, n_large))
+                        parent, v = v, w
+                        depth += 1
+                        if depth > deepest:
+                            deepest = depth
+                        path.append(w)
+                        pos[w] = depth
+                        it = iter(adjacency[w])
+                        acc = h2[w]
+                        prod *= influence[w]
+                        n_free += 1
+                        n_large += large[w]
+                        break
                 else:
-                    if count > limit:
-                        raise NodeBudgetExhausted(count)
-                    frames.append((v, parent, it, acc, prod, n_free, n_large))
-                    parent, v = v, w
-                    depth += 1
-                    if depth > deepest:
-                        deepest = depth
-                    path[depth] = w
-                    pos[w] = depth
-                    it = iter(adjacency[w])
-                    acc = h2[w]
-                    prod *= influence[w]
-                    n_free += 1
-                    n_large += large[w]
-                    break
-            else:
-                if not frames:
-                    break
-                # v is done: fold its log-odds into its parent's
-                term = child_term(acc, b2)
-                pos[v] = -1
-                depth -= 1
-                v, parent, it, acc, prod, n_free, n_large = frames.pop()
-                acc += term
+                    if not frames:
+                        break
+                    # v is done: fold its log-odds into its parent's
+                    term = child_term(acc, b2)
+                    pos[v] = -1
+                    path.pop()
+                    depth -= 1
+                    v, parent, it, acc, prod, n_free, n_large = frames.pop()
+                    acc += term
+        finally:
+            for w in path:
+                pos[w] = -1
 
         if paths_ok is not None:
             paths_ok = not short
@@ -370,9 +383,7 @@ def root_log_odds(tree: SawTree, beta: float) -> float:
 
 def root_marginal(tree: SawTree, beta: float) -> float:
     """P(sigma_root = +1) at the root of the tree."""
-    from scipy.special import expit
-
-    return float(expit(root_log_odds(tree, beta)))
+    return expit(root_log_odds(tree, beta))
 
 
 def certified_truncation_error(tree: SawTree, beta: float) -> float:

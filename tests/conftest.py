@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rfim.graph import Graph
+
+# Tests that run `python -m rfim.cli` in a subprocess need the package from
+# this checkout, as `pythonpath` in pyproject.toml gives it to pytest itself.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def random_connected_graph(n: int, rng: np.random.Generator, extra_edges: int = 2) -> Graph:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import subprocess
@@ -92,6 +93,32 @@ def test_glauber_exit_codes(tmp_path):
     assert res.returncode == 0
     config = json.loads(res.stdout)["config"]
     assert len(config) == 4 and set(config) <= {-1, 1}
+
+
+# runs `rfim <argv>` and writes the imported module names to stderr at exit
+MODULES_AT_EXIT = """
+import atexit, runpy, sys
+atexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))
+sys.argv = ["rfim", *sys.argv[1:]]
+runpy.run_module("rfim.cli", run_name="__main__")
+"""
+
+
+def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    path = tmp_path / "warm.json"
+    M.save(IsingInstance(g, 0.1, np.array([3.0, -2.5, 4.0, 3.5])), str(path))
+    for sub in ("count", "check", "sample", "glauber"):
+        res = subprocess.run(
+            [sys.executable, "-c", MODULES_AT_EXIT, sub, "--instance", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["manifest"]["subcommand"] == sub
+        modules = ast.literal_eval(res.stderr.splitlines()[-1])
+        assert "rfim.counting" in modules and "numpy" in modules
+        assert [m for m in modules if m.startswith("scipy")] == [], sub
 
 
 def test_count_error_too_large_exits_four(tmp_path):

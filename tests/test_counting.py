@@ -384,6 +384,25 @@ def test_node_budget_exhaustion_raises(monkeypatch, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: node budget")
 
 
+def test_budget_message_says_how_the_schedule_failed(monkeypatch):
+    # the budget runs out inside the first tau pass
+    monkeypatch.setattr(C, "NODE_BUDGET", 300)
+    with pytest.raises(C.CertifiedErrorTooLarge) as info:
+        approx_partition(variance_25_instance(), 0.01)
+    msg = str(info.value)
+    assert "no tau pass finished" in msg and "inf" not in msg
+    # K6 at beta 0.05: the first pass stops at a step error of 1/4 after
+    # 106 nodes, and the exact pass after it needs more than the budget
+    k6 = Graph.from_edges(6, list(itertools.combinations(range(6), 2)))
+    inst = IsingInstance(k6, 0.05, np.full(6, 0.1))
+    monkeypatch.setattr(C, "NODE_BUDGET", 500)
+    with pytest.raises(C.CertifiedErrorTooLarge) as info:
+        approx_partition(inst, 0.5)
+    msg = str(info.value)
+    assert "the pass at tau=0.0208 stopped at a step error >= 0.25" in msg
+    assert "inf" not in msg
+
+
 def test_check_rejects_when_node_budget_runs_out(monkeypatch, tmp_path, capsys):
     inst = variance_25_instance()
     monkeypatch.setattr(C, "NODE_BUDGET", 500)

@@ -37,6 +37,20 @@ def test_conditional_is_gibbs_conditional(rng):
         )
 
 
+def test_conditional_table_equals_scipy_expit(rng):
+    # numpy's vectorised exp differs from scipy's expit in the last bit on
+    # about 2% of normal draws, which would change the chains' updates
+    from scipy.special import expit
+
+    g = random_connected_graph(300, rng, extra_edges=300)
+    inst = IsingInstance(g, 0.7, rng.normal(size=300) * 30)
+    table, centre = GL._conditional_table(inst)
+    for x, neighbours in enumerate(g.adjacency):
+        d = len(neighbours)
+        want = expit(2.0 * inst.fields[x] + 2.0 * inst.beta * np.arange(-d, d + 1))
+        assert table[centre[x] - d : centre[x] + d + 1] == want.tolist()
+
+
 def test_step_examples():
     lone = IsingInstance(Graph.from_edges(1, []), 1.0, np.zeros(1))
     finals = run_chains(lone, 1, 2000, seed=5)

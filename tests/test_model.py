@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -153,7 +154,23 @@ def test_influence_bound_examples():
 def test_influence_bound_extreme_fields_stable():
     assert influence_bound(3, 700.0, 1.0) == 0.0
     assert influence_bound(3, -700.0, 1.0) == 0.0
+    assert influence_bound(3, 1e6, 1.0) == 0.0
+    assert influence_bound(3, -1e6, 1.0) == 0.0
     assert 0.0 <= influence_bound(8, 350.0, 3.0) < 1.0
+
+
+def test_expit_equals_scipy_bit_for_bit():
+    from scipy.special import expit as scipy_expit
+
+    # e^-x overflows just below -log(max float); 1 + e^-x rounds to 1 near 37
+    edges = [-math.log(sys.float_info.max), -745.2, -708.4, 36.7, 37.5, 0.0]
+    near = [e + k * math.ulp(e) for e in edges for k in range(-3, 4)]
+    normal = np.random.default_rng(7).normal(size=(5, 20_000)) * [[0.01], [1], [30], [300], [1000]]
+    grid = np.concatenate(
+        [np.linspace(-800, 800, 160_001), near, [-np.inf, np.inf, -0.0], normal.ravel()]
+    )
+    ours = np.array([M.expit(x) for x in grid.tolist()])
+    assert ours.view(np.int64).tolist() == scipy_expit(grid).view(np.int64).tolist()
 
 
 def test_influence_bound_even_in_h_matches_closed_form():

@@ -369,3 +369,23 @@ def test_walk_stops_past_max_nodes():
     # it stops at its first expansion past the limit; the leaves walked
     # since the last expansion are at most 5 per level of the walk stack
     assert 100 < info.value.nodes <= 100 + 5 * 6
+    # the stopped walk leaves nothing behind for the walker's next walks
+    fresh = SawWalker(zero_inst(g, beta=0.5))
+    for root in range(6):
+        assert walker.walk(root, {}, cut_depth=4) == fresh.walk(root, {}, cut_depth=4)
+
+
+def test_walk_memory_does_not_grow_with_n():
+    import tracemalloc
+
+    n = 200_000
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    walker = SawWalker(IsingInstance(g, 0.3, np.ones(n)))
+    tracemalloc.start()
+    try:
+        res = walker.walk(n // 2, {}, tau=1e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.node_count == 19
+    assert peak < 64 * 1024
