@@ -2,9 +2,10 @@
 function bounding how far a vertex's conditional marginal can swing.
 
 All partition values are carried in log space; large Gaussian fields make
-e^{2h} overflow in linear space.  Only the exact oracles import scipy (for
-`logsumexp`), inside the functions, so counting, sampling and Glauber
-dynamics run on numpy alone.
+e^{2h} overflow in linear space.  The module runs on numpy alone: `expit`
+and `_logsumexp` reproduce scipy's functions bit for bit, so no subcommand
+but `gen-fields` (whose Gaussian draws use `scipy.special.ndtri`) loads
+scipy.
 """
 
 from __future__ import annotations
@@ -38,6 +39,28 @@ def expit(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     except OverflowError:
         return 0.0
+
+
+def _logsumexp(a: np.ndarray, axis: int | None = None):
+    """log(sum(exp(a))) along `axis` (over all of `a` for None).
+
+    scipy 1.17's algorithm for real input, so the two agree bit for bit: the
+    entries equal to the maximum are counted (m) and left out of the shifted
+    sum s, and the result is log1p(s/m) + log(m) + max.  Where that is not
+    finite (an all -inf row, an inf entry) the direct log(sum(exp(a))) is
+    taken instead, which gives -inf for an all -inf row.
+    """
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=axes, keepdims=True)
+        at_top = a == top
+        m = np.sum(at_top, axis=axes, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=axes, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))[bad]
+    return np.squeeze(out, axis=axes)[()]
 
 
 class EnumerationTooLarge(ValueError):
@@ -106,29 +129,28 @@ def _log_weights(inst: IsingInstance, order: list[int]) -> np.ndarray:
     array of shape (2,)*k: axis i belongs to order[i], index 0 meaning spin
     -1 and index 1 spin +1.  Every vertex not in `order` must be fixed.
 
-    Each field and edge term is added as a broadcast +-1 array; a term whose
-    vertices are all fixed goes into one scalar, so it costs no pass.
+    The table starts as the scalar of all-fixed terms and grows one axis per
+    vertex: the j-th vertex's local field (its h, beta times its fixed
+    neighbours' spins, and beta times the broadcast +-1 of its neighbours on
+    axes < j) is added with sign -1 and +1 along the new axis, so the work
+    is about 2^(k+1) additions, not (n + m) * 2^k.
     """
-    k = len(order)
     axis = {v: i for i, v in enumerate(order)}
-
-    def spin(v):
-        if v not in axis:
-            return inst.boundary[v]
-        shape = [1] * k
-        shape[axis[v]] = 2
-        return np.array([-1.0, 1.0]).reshape(shape)
-
-    terms = [h * spin(v) for v, h in enumerate(inst.fields.tolist())]
-    terms += [inst.beta * spin(a) * spin(b) for a, b in inst.graph.edges()]
-    table = np.zeros((2,) * k)
+    adjacency, beta, fixed = inst.graph.adjacency, inst.beta, inst.boundary
+    h = inst.fields.tolist()
     const = 0.0
-    for term in terms:
-        if np.ndim(term):
-            table += term
-        else:
-            const += term
-    table += const
+    for v, s in fixed.items():
+        const += s * (h[v] + beta * sum(fixed[w] for w in adjacency[v] if w > v and w in fixed))
+    table = np.array(const)
+    pm = np.array([-1.0, 1.0])
+    for j, v in enumerate(order):
+        local = h[v] + beta * sum(fixed[w] for w in adjacency[v] if w in fixed)
+        for w in adjacency[v]:
+            if w in axis and axis[w] < j:
+                shape = [1] * j
+                shape[axis[w]] = 2
+                local = local + beta * pm.reshape(shape)
+        table = table[..., None] + np.multiply.outer(local, pm)
     return table
 
 
@@ -145,10 +167,8 @@ def _region_log_z(inst: IsingInstance, region: list[int]) -> np.ndarray:
     if others and len(region) + len(others) > _TABLE_BITS:
         halves = [_region_log_z(inst.with_extra_boundary({others[-1]: s}), region) for s in (-1, 1)]
         return np.logaddexp(*halves)
-    from scipy.special import logsumexp
-
     table = _log_weights(inst, region + others)
-    return logsumexp(table.reshape(1 << len(region), -1), axis=1)
+    return _logsumexp(table.reshape(1 << len(region), -1), axis=1)
 
 
 def _check_cap(n_free: int, max_free: int) -> None:
@@ -193,10 +213,8 @@ def exact_region_law(
             raise ValueError(f"region vertex {v} is not free")
     if len(set(region)) != len(region):
         raise ValueError(f"region {list(region)} repeats a vertex")
-    from scipy.special import logsumexp
-
     log_z = _region_log_z(inst, list(region))
-    prob = np.exp(log_z - logsumexp(log_z))
+    prob = np.exp(log_z - _logsumexp(log_z))
     return dict(zip(itertools.product((-1, 1), repeat=len(region)), prob.tolist()))
 
 

@@ -5,7 +5,6 @@ domination and averaged-decay experiments."""
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,11 @@ from .model import (
 
 #: z-score for the 99.7% Wilson intervals used in all Monte Carlo reports.
 WILSON_Z = 3.0
+
+#: `connection_probability` draws its uniforms in blocks of at most this many
+#: (at least one trial's worth), so memory is bounded by n, not by the trials.
+#: 2^16 runs as fast as 2^20 on ER(2000, 3) and holds 0.7 MB, not 10 MB.
+_BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,10 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> Estimat
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return Estimate(p, max(center - half, 0.0), min(center + half, 1.0), trials, successes)
+    # at 0 or all successes the rounded limit can land just past p_hat
+    low = min(max(center - half, 0.0), p)
+    high = max(min(center + half, 1.0), p)
+    return Estimate(p, low, high, trials, successes)
 
 
 def influence_probabilities(inst: IsingInstance) -> np.ndarray:
@@ -77,49 +84,61 @@ def influence_probabilities(inst: IsingInstance) -> np.ndarray:
 
 def sample_site_percolation(spec: SitePercolationSpec, seed: int) -> np.ndarray:
     """Boolean open indicator per vertex."""
-    rng = np.random.default_rng(seed)
-    return _draw_open(spec, rng)
-
-
-def _draw_open(spec: SitePercolationSpec, rng: np.random.Generator) -> np.ndarray:
-    open_ = rng.random(spec.graph.n) < spec.probabilities
+    open_ = np.random.default_rng(seed).random(spec.graph.n) < spec.probabilities
     for v in spec.boundary_open:
         open_[v] = True
     return open_
 
 
-def _connects(spec: SitePercolationSpec, open_: np.ndarray, targets: set[int]) -> bool:
-    """Open path from boundary_open to `targets` (endpoints must be open)."""
-    seen = np.zeros(spec.graph.n, dtype=bool)
-    q = deque()
-    for v in spec.boundary_open:
-        if open_[v]:
-            if v in targets:
+def _cluster_hits(adjacency, open_: bytes, sources, target: bytearray, seen: bytearray) -> bool:
+    """Mark in `seen` the open vertices joined to the open `sources` by open
+    paths (one byte per vertex in `open_`, `target` and `seen`); True as soon
+    as a marked vertex is a `target`, with the search cut short there."""
+    stack = []
+    for v in sources:
+        if open_[v] and not seen[v]:
+            if target[v]:
                 return True
-            seen[v] = True
-            q.append(v)
-    while q:
-        u = q.popleft()
-        for w in spec.graph.adjacency[u]:
+            seen[v] = 1
+            stack.append(v)
+    while stack:
+        for w in adjacency[stack.pop()]:
             if open_[w] and not seen[w]:
-                if w in targets:
+                if target[w]:
                     return True
-                seen[w] = True
-                q.append(w)
+                seen[w] = 1
+                stack.append(w)
     return False
 
 
 def connection_probability(
     spec: SitePercolationSpec, targets, trials: int, seed: int
 ) -> Estimate:
-    """Monte Carlo estimate of P(boundary_open <-> targets)."""
+    """Monte Carlo estimate of P(boundary_open <-> targets).
+
+    Trial t opens the sites with the t-th n uniforms of one generator seeded
+    with `seed`; they are drawn in blocks of rows, which is the same stream.
+    """
+    n = spec.graph.n
     targets = set(targets)
+    target = bytearray(n)
+    for v in targets:
+        if not 0 <= v < n:
+            raise ValueError(f"target vertex {v} out of range")
+        target[v] = 1
     if targets & spec.boundary_open:
         raise ValueError("targets must be disjoint from boundary_open")
     if trials <= 0:
         raise ValueError("trials must be > 0")
     rng = np.random.default_rng(seed)
-    hits = sum(_connects(spec, _draw_open(spec, rng), targets) for _ in range(trials))
+    sources = sorted(spec.boundary_open)
+    rows = max(1, _BLOCK_DRAWS // max(n, 1))
+    hits = 0
+    for start in range(0, trials, rows):
+        block = rng.random((min(rows, trials - start), n)) < spec.probabilities
+        block[:, sources] = True
+        for row in block:
+            hits += _cluster_hits(spec.graph.adjacency, row.tobytes(), sources, target, bytearray(n))
     return wilson_interval(hits, trials)
 
 
@@ -323,20 +342,14 @@ def averaged_decay_profile(
             classes.setdefault(dist[y], []).append(y)
     hits = {d: 0 for d in classes}
     totals = {d: 0 for d in classes}
+    nowhere = bytearray(g.n)
     for _ in range(trials):
         h = np.asarray(field_sampler(rng), dtype=float)
         p = np.array([influence_bound(g.degree(v), h[v], beta) for v in range(g.n)])
         open_ = rng.random(g.n) < p
-        reach = np.zeros(g.n, dtype=bool)
-        if open_[x]:
-            reach[x] = True
-            q = deque([x])
-            while q:
-                u = q.popleft()
-                for w in g.adjacency[u]:
-                    if open_[w] and not reach[w]:
-                        reach[w] = True
-                        q.append(w)
+        seen = bytearray(g.n)
+        _cluster_hits(g.adjacency, open_.tobytes(), [x], nowhere, seen)
+        reach = np.frombuffer(seen, dtype=bool)
         for d, ys in classes.items():
             hits[d] += int(np.sum(reach[ys]))
             totals[d] += len(ys)

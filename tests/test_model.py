@@ -173,6 +173,50 @@ def test_expit_equals_scipy_bit_for_bit():
     assert ours.view(np.int64).tolist() == scipy_expit(grid).view(np.int64).tolist()
 
 
+def test_logsumexp_equals_scipy_bit_for_bit():
+    from scipy.special import logsumexp as scipy_logsumexp
+
+    rng = np.random.default_rng(11)
+    tables = []
+    for i in range(600):
+        a = rng.normal(0.0, 10.0, (int(rng.integers(1, 9)), int(rng.integers(1, 301))))
+        tables.append(np.round(a) if i % 3 == 0 else a)  # rounding makes maxima tie
+    tables += [np.array([[2.5]]), np.full((3, 4), 1.25), np.array([[-np.inf, 0.0, -np.inf]])]
+    special = rng.normal(size=(6, 5))
+    special[0] = -np.inf
+    special[1, 2] = np.inf
+    special[2, :2] = -np.inf
+    special[3, [0, 4]] = [np.inf, -np.inf]
+    tables += [special, np.full((2, 3), -np.inf)]
+    for a in tables:
+        for axis in (1, None):
+            ours = np.asarray(M._logsumexp(a, axis=axis))
+            theirs = np.asarray(scipy_logsumexp(a, axis=axis))
+            assert ours.shape == theirs.shape
+            assert ours.view(np.int64).tolist() == theirs.view(np.int64).tolist()
+    assert M._logsumexp(np.full(4, -np.inf)) == -np.inf
+
+
+def test_log_weights_equal_brute_force_hamiltonian(rng):
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 6), (6, 4)])
+    h = rng.normal(0.0, 2.0, 7)
+    # vertex 0's neighbours 1 and 3 are both fixed; 4 has no fixed neighbour
+    cases = [({}, range(7)), ({1: 1, 3: -1}, [0, 2, 4, 5, 6]), ({1: -1, 3: 1, 5: 1}, [6, 0, 4, 2])]
+    cases.append(({v: (-1) ** v for v in range(7)}, []))  # k = 0
+    for boundary, order in cases:
+        inst = IsingInstance(g, -0.7, h, boundary)
+        order = list(order)
+        table = M._log_weights(inst, order)
+        assert table.shape == (2,) * len(order)
+        for idx in itertools.product((0, 1), repeat=len(order)):
+            s = np.zeros(7)
+            for v, tau in boundary.items():
+                s[v] = tau
+            for v, i in zip(order, idx):
+                s[v] = 2 * i - 1
+            assert abs(table[idx] + hamiltonian(inst, s)) <= 1e-12
+
+
 def test_influence_bound_even_in_h_matches_closed_form():
     # M = sinh(c) / (cosh 2h + cosh c) with c = 2|beta|delta; a sigmoid
     # difference taken at large positive h cancels to 0 instead

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rfim import percolation as P
-from rfim.graph import Graph
+from rfim.graph import Graph, bfs_distances
 from rfim.model import IsingInstance, exact_marginal, influence_bound
 from rfim.percolation import (
     SitePercolationSpec,
@@ -104,6 +104,45 @@ def test_connection_probability_input_errors():
         connection_probability(spec, {0}, 100, seed=0)
     with pytest.raises(ValueError):
         connection_probability(spec, {2}, 0, seed=0)
+    for bad in ({-1}, {7}, {2, 3}):
+        with pytest.raises(ValueError, match="out of range"):
+            connection_probability(spec, bad, 100, seed=0)
+
+
+def reference_cluster(g, open_, sources):
+    """Open vertices joined to the open `sources`, by breadth-first layers."""
+    reach = {v for v in sources if open_[v]}
+    frontier = list(reach)
+    while frontier:
+        frontier = [w for u in frontier for w in g.adjacency[u] if open_[w] and w not in reach]
+        reach.update(frontier)
+    return reach
+
+
+def reference_connection_successes(spec, targets, trials, seed):
+    """Successes of `trials` one-at-a-time draws and searches."""
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(trials):
+        open_ = rng.random(spec.graph.n) < spec.probabilities
+        open_[list(spec.boundary_open)] = True
+        hits += bool(reference_cluster(spec.graph, open_, spec.boundary_open) & set(targets))
+    return hits
+
+
+def test_block_draws_equal_one_trial_at_a_time(rng, monkeypatch):
+    n = 12
+    g = random_connected_graph(n, rng, extra_edges=4)
+    p = rng.uniform(0.3, 0.9, n)
+    monkeypatch.setattr(P, "_BLOCK_DRAWS", 5 * n + 3)  # rows = 5
+    rows = 5
+    for boundary in (frozenset(), frozenset({0}), frozenset({0, 4, 9})):
+        spec = SitePercolationSpec(g, p, boundary)
+        targets = {1, 7, 11} - boundary
+        for trials in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            for seed in (0, 3):
+                est = connection_probability(spec, targets, trials, seed)
+                assert est.successes == reference_connection_successes(spec, targets, trials, seed)
 
 
 def test_wilson_interval_basics():
@@ -113,6 +152,13 @@ def test_wilson_interval_basics():
     assert wilson_interval(100, 100).high == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+def test_wilson_interval_contains_p_hat():
+    for trials in range(1, 301):
+        for successes in range(trials + 1):
+            est = wilson_interval(successes, trials)
+            assert 0.0 <= est.low <= est.p_hat <= est.high <= 1.0, (successes, trials)
 
 
 def test_coupling_identical_boundaries():
@@ -258,8 +304,9 @@ def test_percolation_monotone_under_coupled_seeds():
         open_lo = sample_site_percolation(lo, s)
         open_hi = sample_site_percolation(hi, s)
         assert np.all(open_hi[open_lo])  # same uniforms: open sets nest
-        if P._connects(lo, open_lo, {5}):
-            assert P._connects(hi, open_hi, {5})
+        # one trial of connection_probability draws the same uniforms
+        if connection_probability(lo, {5}, 1, s).successes:
+            assert connection_probability(hi, {5}, 1, s).successes
 
 
 def test_averaged_decay_beta_zero():
@@ -272,6 +319,22 @@ def test_averaged_decay_huge_fields_die_out():
     g = path_graph(6)
     prof = P.averaged_decay_profile(g, lambda r: np.full(6, 50.0), 1.0, 0, 200, seed=0)
     assert all(est.p_hat == 0.0 for d, est in prof.items() if d >= 1)
+
+
+def test_averaged_decay_equals_per_trial_breadth_first_search(rng):
+    g = random_connected_graph(10, rng, extra_edges=3)
+    x, beta, trials, seed = 2, 0.8, 300, 9
+    prof = P.averaged_decay_profile(g, lambda r: r.normal(0.0, 0.5, 10), beta, x, trials, seed)
+    dist = bfs_distances(g, x)
+    r = np.random.default_rng(seed)
+    hits = {d: 0 for d in prof}
+    for _ in range(trials):
+        h = r.normal(0.0, 0.5, 10)  # fields first, then the uniforms
+        p = np.array([influence_bound(g.degree(v), h[v], beta) for v in range(10)])
+        open_ = r.random(10) < p
+        for y in reference_cluster(g, open_, [x]) - {x}:
+            hits[dist[y]] += 1
+    assert {d: est.successes for d, est in prof.items()} == hits
 
 
 def test_averaged_decay_profile_decreases():
