@@ -160,6 +160,8 @@ def cmd_check(args) -> tuple[dict, int]:
         "h0": report.h0,
         "certified_rel_err": _json_num(report.certified_rel_err),
         "depth": report.depth,
+        "tau": report.tau,
+        "nodes": report.nodes,
     }
     return obj, EXIT_OK if report.accepted else EXIT_REJECTED
 

@@ -30,7 +30,7 @@ STEP_ERROR_LIMIT = 0.25
 
 #: Walker nodes that the tau schedule of one `approx_partition`,
 #: `approx_sample` or `sample_many` call may walk, summed over its attempts,
-#: and that the uniform-depth walks of one `check_instance` call may walk.
+#: and that the walks of one `check_instance` call may walk.
 NODE_BUDGET = 10**7
 
 #: Factor by which tau falls from one attempt to the next.
@@ -102,6 +102,11 @@ class _Budget:
         return res
 
 
+def _first_tau(inst: IsingInstance, eps: float) -> float:
+    """eps/(4n), where the tau schedule starts and the check's tau is taken."""
+    return eps / (4.0 * max(inst.graph.n, 1))
+
+
 def _fit_tau(inst: IsingInstance, eps: float, certify):
     """(tau, result) for the first tau of eps/(4n), eps/(4n)/TAU_STEP, ...
     whose pass fits eps, where `certify(tau, budget)` walks under `budget`
@@ -114,7 +119,7 @@ def _fit_tau(inst: IsingInstance, eps: float, certify):
     pass is exact.
     """
     budget = _Budget(NODE_BUDGET)
-    tau = eps / (4.0 * max(inst.graph.n, 1))
+    tau = _first_tau(inst, eps)
     last = "no tau pass finished"
     while True:
         try:
@@ -312,11 +317,16 @@ def _draw(inst, walker, frontier, rng, cache: dict) -> SampleResult:
 def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> CertificateReport:
     """Per-instance acceptance certificate for the counting run.
 
-    Walks each vertex's SAW tree at the uniform depth
-    max{ceil(log(4n/eps)/rate), ell0}, checks the strong-spatial-mixing
-    certificate, and aggregates per-vertex certified errors through the
+    Walks each vertex's SAW tree cut at the uniform depth
+    max{ceil(log(4n/eps)/rate), ell0} and pruned at tau = eps/(4n)/TAU_STEP,
+    one step below the first tau of the count schedule.  The certified
+    error of a walk holds leaf by leaf, so for this frontier too.  The
+    walks check the strong-spatial-mixing certificate, whose path rule
+    (`paths_ok`) is read on the walked frontier and does not gate the
+    verdict, and aggregate per-vertex certified errors through the
     worst-case composition e/(1/2 - e).  Accepts exactly when the aggregate
-    is at most eps.  The walks share a budget of NODE_BUDGET walker nodes;
+    is at most eps; a rejection's reason names the vertex of largest
+    certified error.  The walks share a budget of NODE_BUDGET walker nodes;
     when it runs out the instance is rejected.
     """
     _check_eps(eps)
@@ -333,20 +343,25 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
             h0=h0,
             accepted=False,
             reason=f"influence condition fails at h0={h0:.4g}",
+            nodes=0,
         )
     # ell0: the depth at which the certified decay reaches 1/n
     ell0 = 0 if math.isinf(rate) else math.ceil(math.log(max(n, 2)) / rate)
     depth = choose_depth(n, eps, rate, ell0)
     cut = _forced_cut(inst, depth)
+    tau = _first_tau(inst, eps) / TAU_STEP
 
     walker = SawWalker(inst, h0)
     budget = _Budget(NODE_BUDGET)
+    free = inst.free_vertices
     try:
-        walks = [budget.walk(walker, v, inst.boundary, cut, 0.0) for v in inst.free_vertices]
+        walks = [budget.walk(walker, v, inst.boundary, cut, tau) for v in free]
     except NodeBudgetExhausted as e:
-        reason = f"node budget ran out after {budget.used + e.nodes} walker nodes at depth {depth}"
+        nodes = budget.used + e.nodes
+        reason = f"node budget ran out after {nodes} walker nodes at depth {depth}"
         return CertificateReport(influence_ok=True, paths_ok=False, rate=rate, h0=h0,
-                                 accepted=False, reason=reason, depth=depth)
+                                 accepted=False, reason=reason, depth=depth, tau=tau,
+                                 nodes=nodes)
 
     per_vertex = [w.error for w in walks]
     if any(e >= STEP_ERROR_LIMIT for e in per_vertex):
@@ -354,13 +369,20 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     else:
         total = sum(e / (0.5 - e) for e in per_vertex)
     accepted = total <= eps
+    reason = ""
+    if not accepted:
+        e, v = max(zip(per_vertex, free), key=lambda ev: ev[0])
+        reason = (f"aggregated certified error {total:.3g} > {eps}; "
+                  f"largest at vertex {v}, certified error {e:.3g}")
     return CertificateReport(
         influence_ok=True,
         paths_ok=all(w.paths_ok for w in walks),
         rate=rate,
         h0=h0,
         accepted=accepted,
-        reason="" if accepted else f"aggregated certified error {total:.3g} > {eps}",
+        reason=reason,
         certified_rel_err=float(total),
         depth=depth,
+        tau=tau,
+        nodes=budget.used,
     )

@@ -245,7 +245,10 @@ class CertificateReport:
     `paths_ok` asks that every root-to-frontier path has at least half of its
     free vertices with |h| >= h0; `rate` is the implied decay rate when the
     influence condition holds.  The aggregation fields are filled by the
-    whole-instance checker and stay None for a single tree.
+    whole-instance checker and stay None for a single tree.  The checker's
+    frontier is the uniform cut at `depth` together with the influence
+    threshold `tau`; its `paths_ok` is read on that walked frontier, and
+    `nodes` counts the walker nodes it walked.
     """
 
     influence_ok: bool
@@ -256,6 +259,8 @@ class CertificateReport:
     reason: str = ""
     certified_rel_err: float | None = None
     depth: int | None = None
+    tau: float | None = None
+    nodes: int | None = None
 
 
 def build_saw_tree(

@@ -421,3 +421,41 @@ def test_check_rejects_when_node_budget_runs_out(monkeypatch, tmp_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["accepted"] is False and obj["reason"] == report.reason
     assert obj["certified_rel_err"] is None and obj["depth"] == 4
+    assert obj["tau"] == report.tau and obj["nodes"] == report.nodes > 500
+
+
+def test_check_walks_the_pruned_frontier():
+    # paper regime; the uniform cut at depth 4 alone walks 23,246 nodes here
+    g = gen_er_graph(200, 3.0, seed=9000)
+    h = gen_fields(200, FieldSpec("gaussian", variance=46656.0), seed=9500)
+    inst = IsingInstance(g, 1.0, h)
+    report = check_instance(inst, 0.01)
+    assert report.accepted and report.depth == 4
+    assert report.tau == C._first_tau(inst, 0.01) / C.TAU_STEP
+    assert report.nodes <= 2000
+
+
+def test_check_rejection_names_the_worst_vertex(tmp_path, capsys):
+    g = gen_er_graph(200, 3.0, seed=9000)
+    h = gen_fields(200, FieldSpec("gaussian", variance=100.0), seed=9500)
+    inst = IsingInstance(g, 0.3, h)
+    report = check_instance(inst, 0.01)
+    assert not report.accepted
+    walker = SawWalker(inst, report.h0)
+    walks = {v: walker.walk(v, inst.boundary, report.depth, report.tau) for v in inst.free_vertices}
+    assert report.nodes == sum(w.node_count for w in walks.values())
+    worst = max(walks, key=lambda v: walks[v].error)
+    assert report.reason == (
+        f"aggregated certified error inf > 0.01; "
+        f"largest at vertex {worst}, certified error {walks[worst].error:.3g}"
+    )
+
+    from rfim.cli import cli_dispatch
+
+    path = tmp_path / "inst.json"
+    M.save(inst, str(path))
+    capsys.readouterr()
+    assert cli_dispatch(["check", "--instance", str(path), "--eps", "0.01"]) == 2
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["reason"] == report.reason
+    assert obj["tau"] == report.tau and obj["nodes"] == report.nodes

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -293,14 +294,15 @@ def test_walker_untruncated_deep_path(rng):
         assert_walk_matches_tree(inst, root, None, 0.5)
 
 
-def prune_reference(inst, root, tau):
-    """The untruncated reference tree with every free child whose expanded
-    ancestors' influence product is below tau turned into a +1 frontier
-    leaf: (tree, depth), depth being one more than the deepest expanded
-    level.  Evaluated with `root_log_odds` and `certified_truncation_error`,
-    it is the oracle for `SawWalker.walk(..., tau=tau)`."""
+def prune_reference(inst, root, tau, cut=None):
+    """The reference tree cut at `cut` (None: untruncated) with every free
+    child whose expanded ancestors' influence product is below tau turned
+    into a +1 frontier leaf: (tree, depth), depth being one more than the
+    deepest expanded level.  Evaluated with `root_log_odds` and
+    `certified_truncation_error`, it is the oracle for
+    `SawWalker.walk(..., cut, tau)`."""
     g, beta = inst.graph, inst.beta
-    tree = build_saw_tree(g, inst, root)
+    tree = build_saw_tree(g, inst, root, cut)
     count, deepest = 1, 0
     stack = [(tree.root, 1.0)]  # expanded free nodes
     while stack:
@@ -341,16 +343,17 @@ def pruned_cases(draw):
 @given(pruned_cases())
 def test_pruned_walk_is_sound(case):
     # the certified error bounds the marginal's distance from the exact one
-    # on any frontier; the pruned frontier is the one the tau rule defines
+    # on any frontier; the pruned frontier is the one the tau rule defines,
+    # alone or together with a uniform cut (the frontier of check_instance)
     inst, root, cut = case
     exact = exact_marginal(inst, root)
     walker = SawWalker(inst)
     res = walker.walk(root, inst.boundary, cut)
     assert abs(res.marginal - exact) <= res.error + 1e-12
-    for tau in (0.5, 0.1, 1e-3):
-        res = walker.walk(root, inst.boundary, None, tau)
+    for tau_cut, tau in itertools.product((None, cut), (0.5, 0.1, 1e-3)):
+        res = walker.walk(root, inst.boundary, tau_cut, tau)
         assert abs(res.marginal - exact) <= res.error + 1e-12
-        tree, depth = prune_reference(inst, root, tau)
+        tree, depth = prune_reference(inst, root, tau, tau_cut)
         assert res.node_count == tree.node_count
         assert res.depth == depth
         assert res.log_odds == pytest.approx(root_log_odds(tree, inst.beta), rel=0, abs=1e-12)
