@@ -26,7 +26,9 @@ import os
 import sys
 
 from . import __version__
-from . import counting, glauber, graph as graphmod, model, percolation, randgen
+# glauber, percolation and randgen import numpy at module level, so each
+# cmd_* that uses one imports it itself: count and check load no numpy
+from . import counting, graph as graphmod, model
 
 FORMATS = [
     "rfim-graph-v1",
@@ -67,7 +69,7 @@ def _load_instance(path: str) -> model.IsingInstance:
         return model.load(path)
     except FileNotFoundError:
         raise ValueError(f"instance file not found: {path}")
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
         raise ValueError(f"malformed instance {path}: {e}")
 
 
@@ -93,11 +95,15 @@ def _finite(text: str) -> float:
 
 
 def cmd_gen_graph(args) -> tuple[dict, int]:
+    from . import randgen
+
     g = randgen.gen_er_graph(args.n, args.delta, args.seed)
     return graphmod.to_json_dict(g), EXIT_OK
 
 
 def cmd_gen_fields(args) -> tuple[dict, int]:
+    from . import randgen
+
     spec = randgen.FieldSpec(
         kind=args.kind, variance=args.variance, magnitude=args.magnitude
     )
@@ -141,6 +147,8 @@ def cmd_sample(args) -> tuple[dict, int]:
 
 
 def cmd_glauber(args) -> tuple[dict, int]:
+    from . import glauber
+
     inst = _load_instance(args.instance)
     config = glauber.glauber_sample(inst, args.eps, args.seed)
     if config is None:
@@ -183,6 +191,8 @@ def _config_int(cfg: dict, key: str, default: int, path: str) -> int:
 
 
 def cmd_perc(args) -> tuple[dict, int]:
+    from . import percolation
+
     try:
         with open(args.config) as f:
             cfg = json.load(f)
@@ -221,6 +231,8 @@ def cmd_perc(args) -> tuple[dict, int]:
 
 
 def cmd_grow(args) -> tuple[dict, int]:
+    from . import randgen
+
     try:
         g = graphmod.load(args.graph)
     except FileNotFoundError:

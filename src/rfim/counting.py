@@ -1,15 +1,16 @@
 """End-to-end approximate counting (telescoping product over sequentially
 fixed spins) and sequential approximate sampling, with per-run certified
 error accounting and the whole-instance acceptance check.
+
+Counting and the check are pure Python; only the sampler imports numpy, for
+its generator and its configuration arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import max_degree
 from .model import IsingInstance, hamiltonian
@@ -23,6 +24,9 @@ from .sawtree import (  # noqa: F401
     root_marginal,
     ssm_certificate,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Per-step certified marginal error above which the log-ratio bound
 #: e/(p_hat - e) is no longer controlled (p_hat >= 1/2).
@@ -139,7 +143,7 @@ def _fit_tau(inst: IsingInstance, eps: float, certify):
 
 
 class _Pass(NamedTuple):
-    config: np.ndarray  # the greedy configuration
+    config: list[int]  # the greedy configuration
     log_r: list[float]  # per-step log-ratio terms
     step_errs: list[float]  # per-step certified relative errors
     depth: int  # the walks' deepest SawWalk.depth
@@ -173,7 +177,7 @@ def _telescoping_pass(
         step_errs.append(e / (p_hat - e))
         depth = max(depth, res.depth)
         boundary_now[v] = spin
-    config = np.array([boundary_now[v] for v in range(inst.graph.n)], dtype=int)
+    config = [boundary_now[v] for v in range(inst.graph.n)]
     return _Pass(config, log_r, step_errs, depth)
 
 
@@ -230,6 +234,8 @@ def approx_sample(
     NODE_BUDGET raises CertifiedErrorTooLarge.  A forced depth gives no eps
     guarantee: the draw only reports its summed certified errors, whatever
     their size."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     walker = SawWalker(inst)
     frontier = _sample_frontier(inst, eps, walker, depth_override)
@@ -252,6 +258,8 @@ def sample_many(
     budget, and each draw then walks at most the nodes of the kept
     certification pass.  Returns an array of shape (count, n).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     walker = SawWalker(inst)
     frontier = _sample_frontier(inst, eps, walker, depth_override)
@@ -294,6 +302,8 @@ def _draw(inst, walker, frontier, rng, cache: dict) -> SampleResult:
     a trie over the spins fixed so far: a node holds its step's (marginal,
     certified error) under None and its children under +1 and -1, so a
     draw adds at most one node per step."""
+    import numpy as np
+
     cut, tau, depth = frontier
     boundary_now = dict(inst.boundary)
     step_errs = []

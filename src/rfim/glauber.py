@@ -37,7 +37,7 @@ def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> np.ndarray | N
     free = inst.free_vertices
     if not free:
         return np.array([inst.boundary[v] for v in range(inst.graph.n)])
-    h_min = float(np.min(np.abs(inst.fields[free])))
+    h_min = float(np.min(np.abs(np.asarray(inst.fields, dtype=float)[free])))
     steps = mixing_time_bound(inst.graph.n, max_degree(inst.graph), inst.beta, h_min, eps)
     if steps is None:
         return None
@@ -58,7 +58,7 @@ def _conditional_table(inst: IsingInstance) -> tuple[list[float], list[int]]:
     """
     b2 = 2.0 * inst.beta
     table, centre = [], []
-    for h, neighbours in zip(inst.fields.tolist(), inst.graph.adjacency):
+    for h, neighbours in zip(np.asarray(inst.fields, dtype=float).tolist(), inst.graph.adjacency):
         deg = len(neighbours)
         centre.append(len(table) + deg)
         h2 = 2.0 * h

@@ -2,10 +2,12 @@
 function bounding how far a vertex's conditional marginal can swing.
 
 All partition values are carried in log space; large Gaussian fields make
-e^{2h} overflow in linear space.  The module runs on numpy alone: `expit`
-and `_logsumexp` reproduce scipy's functions bit for bit, so no subcommand
-but `gen-fields` (whose Gaussian draws use `scipy.special.ndtri`) loads
-scipy.
+e^{2h} overflow in linear space.  The instance, the Hamiltonian and the
+influence function are pure Python; numpy is imported only inside the exact
+kernel (`_logsumexp`, `_log_weights`, `_region_log_z`, `exact_region_law`),
+so `rfim count` and `rfim check` load no numpy.  `expit` and `_logsumexp`
+reproduce scipy's functions bit for bit, so no subcommand but `gen-fields`
+(whose Gaussian draws use `scipy.special.ndtri`) loads scipy.
 """
 
 from __future__ import annotations
@@ -13,12 +15,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import graph as graphmod
 from .graph import Graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 INSTANCE_FORMAT = "rfim-instance-v1"
 
@@ -50,6 +55,8 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
     finite (an all -inf row, an inf entry) the direct log(sum(exp(a))) is
     taken instead, which gives -inf for an all -inf row.
     """
+    import numpy as np
+
     axes = tuple(range(a.ndim)) if axis is None else axis
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         top = np.max(a, axis=axes, keepdims=True)
@@ -75,24 +82,34 @@ class IncompleteConfiguration(ValueError):
 class IsingInstance:
     """Graph + inverse temperature + per-vertex fields + partial boundary.
 
-    `boundary` maps a subset of vertices to fixed spins in {-1, +1}.
+    `fields` is any length-n sequence of finite reals (a list, a tuple, an
+    `array.array`, a numpy array), stored as given: an instance built from
+    a numpy array keeps that array.  `boundary` maps a subset of vertices to fixed spins in
+    {-1, +1}.
     """
 
     graph: Graph
     beta: float
-    fields: np.ndarray
+    fields: Sequence[float]
     boundary: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        h = np.asarray(self.fields, dtype=float)
-        if h.shape != (self.graph.n,):
-            raise ValueError(f"fields must have one entry per vertex (got {h.shape})")
+        n = self.graph.n
+        try:
+            size = len(self.fields)
+        except TypeError:
+            size = None
+        if size != n:
+            raise ValueError(f"fields must have one entry per vertex (got {size} for {n})")
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
-        if not np.all(np.isfinite(h)):
-            bad = int(np.flatnonzero(~np.isfinite(h))[0])
-            raise ValueError(f"field at vertex {bad} must be finite, got {h[bad]}")
-        object.__setattr__(self, "fields", h)
+        for v, x in enumerate(self.fields):
+            try:
+                ok = math.isfinite(x)
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"field at vertex {v} must be finite, got {x!r}")
         for v, s in self.boundary.items():
             if not 0 <= v < self.graph.n:
                 raise ValueError(f"boundary vertex {v} out of range")
@@ -112,16 +129,18 @@ class IsingInstance:
         return replace(self, boundary=merged)
 
 
-def hamiltonian(inst: IsingInstance, spins: np.ndarray) -> float:
-    """Energy H of a complete configuration; -H = beta*sum(ss) + sum(h*s)."""
-    s = np.asarray(spins)
-    if s.shape != (inst.graph.n,) or not np.all(np.abs(s) == 1):
+def hamiltonian(inst: IsingInstance, spins: Sequence[int]) -> float:
+    """Energy H of a complete configuration; -H = beta*sum(ss) + sum(h*s),
+    the field sum taken with `math.fsum`, so its value does not depend on
+    the order or the container of the fields."""
+    s = list(spins)
+    if len(s) != inst.graph.n or not all(x == 1 or x == -1 for x in s):
         raise IncompleteConfiguration("configuration must assign +-1 to every vertex")
     for v, tau in inst.boundary.items():
         if s[v] != tau:
             raise IncompleteConfiguration(f"configuration disagrees with boundary at {v}")
     pair = sum(s[a] * s[b] for a, b in inst.graph.edges())
-    return float(-(inst.beta * pair + np.dot(inst.fields, s)))
+    return float(-(inst.beta * pair + math.fsum(h * x for h, x in zip(inst.fields, s))))
 
 
 def _log_weights(inst: IsingInstance, order: list[int]) -> np.ndarray:
@@ -135,9 +154,11 @@ def _log_weights(inst: IsingInstance, order: list[int]) -> np.ndarray:
     axes < j) is added with sign -1 and +1 along the new axis, so the work
     is about 2^(k+1) additions, not (n + m) * 2^k.
     """
+    import numpy as np
+
     axis = {v: i for i, v in enumerate(order)}
     adjacency, beta, fixed = inst.graph.adjacency, inst.beta, inst.boundary
-    h = inst.fields.tolist()
+    h = [float(x) for x in inst.fields]
     const = 0.0
     for v, s in fixed.items():
         const += s * (h[v] + beta * sum(fixed[w] for w in adjacency[v] if w > v and w in fixed))
@@ -162,6 +183,8 @@ def _region_log_z(inst: IsingInstance, region: list[int]) -> np.ndarray:
     2^max(_TABLE_BITS, r) entries; beyond that, the last of them is fixed to
     -1 and to +1 in turn and the two halves are added in log space.
     """
+    import numpy as np
+
     in_region = set(region)
     others = [v for v in inst.free_vertices if v not in in_region]
     if others and len(region) + len(others) > _TABLE_BITS:
@@ -206,6 +229,8 @@ def exact_region_law(
 ) -> dict[tuple[int, ...], float]:
     """Exact joint law of the spins on `region` (distinct free vertices), as
     a dict from spin tuples to probabilities."""
+    import numpy as np
+
     free = inst.free_vertices
     _check_cap(len(free), max_free)
     for v in region:
@@ -253,8 +278,16 @@ def from_json_dict(obj: dict, base_dir: str = ".") -> IsingInstance:
         g = graphmod.load(os.path.join(base_dir, gspec))
     else:
         g = graphmod.from_json_dict(gspec)
+    fields = obj["fields"]
+    if not isinstance(fields, list):
+        raise ValueError(f"fields must be a list of numbers, got {type(fields).__name__}")
+    for v, x in enumerate(fields):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"field at vertex {v} must be a number, got {x!r}")
     boundary = {int(v): int(s) for v, s in obj.get("boundary", {}).items()}
-    return IsingInstance(g, float(obj["beta"]), np.array(obj["fields"], dtype=float), boundary)
+    # an array("d") holds 8 bytes per field, as a numpy array would; a list
+    # of floats holds about 32
+    return IsingInstance(g, float(obj["beta"]), array("d", fields), boundary)
 
 
 def load(path: str) -> IsingInstance:

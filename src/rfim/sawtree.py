@@ -22,22 +22,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .graph import Graph
 from .model import IsingInstance, expit, influence_bound
-
-
-def _sigmoid(x: float) -> float:
-    """1 / (1 + e^-x), without overflow for any x including +-inf.
-
-    For x < 0 this rounds differently from `rfim.model.expit`; the count and
-    sample outputs are pinned to these bits, so the walker keeps it.
-    """
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
 
 
 def _child_term(x: float, b2: float) -> float:
@@ -77,7 +63,7 @@ class SawWalk(NamedTuple):
     @property
     def marginal(self) -> float:
         """P(sigma_root = +1)."""
-        return _sigmoid(self.log_odds)
+        return expit(self.log_odds)
 
 
 class SawWalker:
@@ -346,6 +332,8 @@ def build_saw_tree(
 
 def _child_contribution(log_q: float, log_1mq: float, beta: float) -> float:
     """log((e^{2b} q + (1-q)) / (q + e^{2b}(1-q))) from log q, log(1-q)."""
+    import numpy as np
+
     b2 = 2.0 * beta
     return float(
         np.logaddexp(b2 + log_q, log_1mq) - np.logaddexp(log_q, b2 + log_1mq)
@@ -358,6 +346,8 @@ def root_log_odds(tree: SawTree, beta: float) -> float:
     Fixed children contribute +-2*beta exactly; +inf/-inf are returned for a
     root fixed to +1/-1.
     """
+    import numpy as np
+
     contribution: dict[int, float] = {}  # id(node) -> term added to the parent
 
     stack = [(tree.root, False)]

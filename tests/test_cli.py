@@ -105,8 +105,8 @@ runpy.run_module("rfim.cli", run_name="__main__")
 
 
 def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
-    # every subcommand but gen-fields (Gaussian draws through ndtri) runs on
-    # numpy alone
+    # every subcommand but gen-fields (Gaussian draws through ndtri) runs
+    # without scipy, and count and check run without numpy as well
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     path = tmp_path / "warm.json"
     M.save(IsingInstance(g, 0.1, np.array([3.0, -2.5, 4.0, 3.5])), str(path))
@@ -130,12 +130,23 @@ def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["manifest"]["subcommand"] == sub
         modules = ast.literal_eval(res.stderr.splitlines()[-1])
-        assert "rfim.counting" in modules and "numpy" in modules
+        assert "rfim.counting" in modules
+        assert ("numpy" in modules) == (sub not in ("count", "check")), sub
         scipy_modules = [m for m in modules if m.startswith("scipy")]
         if sub == "gen-fields":
             assert "scipy.special" in scipy_modules
         else:
             assert scipy_modules == [], sub
+
+
+def test_import_cli_loads_no_numpy():
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, rfim.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
 
 
 def test_count_error_too_large_exits_four(tmp_path):
@@ -199,6 +210,35 @@ def test_non_finite_arguments_exit_one(triangle_instance):
         assert res.returncode == 1, arg
         assert res.stdout == ""
         assert "error:" in res.stderr and "finite" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("beta", None),
+        ("beta", [1]),
+        ("beta", 10**400),
+        ("boundary", [1]),
+        ("fields", {"0": 1.0, "1": 2.0, "2": 3.0}),
+        ("fields", [None, 1.0, 2.0]),
+        ("fields", [[1.0], [2.0], [3.0]]),
+        ("fields", [True, 1.0, 2.0]),
+        ("fields", [10**400, 1.0, 2.0]),
+        ("fields", "1.0"),
+    ],
+)
+def test_malformed_instance_gives_one_error_line(triangle_instance, tmp_path, key, value):
+    inst, _ = triangle_instance
+    obj = M.to_json_dict(inst)
+    obj[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    for sub in ("check", "count"):
+        res = run_cli(sub, "--instance", str(path))
+        assert res.returncode == 1, (sub, res.stderr)
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed instance"), res.stderr
 
 
 def test_bad_vertex_and_config_give_one_error_line(tmp_path):

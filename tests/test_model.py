@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -339,3 +340,46 @@ def test_instance_validation():
         IsingInstance(g, 1.0, np.zeros(2), {5: 1})
     with pytest.raises(ValueError):
         IsingInstance(g, 1.0, np.zeros(2), {0: 2})
+
+
+def test_instance_fields_any_finite_sequence_stored_as_given():
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for h in ([0.5, -1.0, 2], (0.5, -1.0, 2), array("d", [0.5, -1.0, 2.0]),
+              np.array([0.5, -1.0, 2.0])):
+        inst = IsingInstance(g, 0.7, h)
+        assert inst.fields is h
+    # an array stays an array, so fancy indexing (the sub-instance of
+    # criterion 9, the benchmark's ball instances) still works
+    arr = np.array([0.5, -1.0, 2.0])
+    assert list(IsingInstance(g, 0.7, arr).fields[[0, 2]]) == [0.5, 2.0]
+    for bad in ([0.0, 0.0], [0.0] * 4, np.zeros((3, 1)), 1.0, [0.0, math.nan, 0.0],
+                (math.inf, 0.0, 0.0), np.array([0.0, 0.0, -math.inf]), [0.0, "1", 0.0]):
+        with pytest.raises(ValueError):
+            IsingInstance(g, 0.7, bad)
+
+
+def test_with_extra_boundary_revalidates_fields():
+    # fields are stored as given, so a list changed after construction is
+    # caught when the next instance is derived from it
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for change in (lambda h: h.__setitem__(1, math.nan),
+                   lambda h: h.__setitem__(2, math.inf),
+                   lambda h: h.append(0.0)):
+        h = [0.1, 0.2, 0.3]
+        inst = IsingInstance(g, 0.7, h)
+        change(h)
+        with pytest.raises(ValueError):
+            inst.with_extra_boundary({0: 1})
+
+
+def test_hamiltonian_list_and_array_fields_agree(rng):
+    g = random_connected_graph(9, rng)
+    h = rng.normal(0.0, 30.0, 9)
+    as_array = IsingInstance(g, 0.8, h)
+    as_list = IsingInstance(g, 0.8, h.tolist())
+    for _ in range(20):
+        spins = rng.choice([-1, 1], 9)
+        a = hamiltonian(as_array, spins)
+        b = hamiltonian(as_list, spins.tolist())
+        assert type(a) is float and type(b) is float
+        assert abs(a - b) <= 1e-12
