@@ -26,8 +26,9 @@ import os
 import sys
 
 from . import __version__
-# glauber, percolation and randgen import numpy at module level, so each
-# cmd_* that uses one imports it itself: count and check load no numpy
+# percolation and randgen import numpy at module level, and glauber to run
+# a chain, so each cmd_* that uses one imports it itself: count, check and
+# sample load no numpy, nor glauber on an instance without a guarantee
 from . import counting, graph as graphmod, model
 
 FORMATS = [
@@ -138,7 +139,7 @@ def cmd_sample(args) -> tuple[dict, int]:
     depth = _parse_depth(args.depth)
     res = counting.approx_sample(inst, args.eps, args.seed, depth_override=depth)
     obj = {
-        "config": [int(s) for s in res.config],
+        "config": res.config,
         "depth": -1 if res.depth_used is None else res.depth_used,
         "tau": res.tau,
         "tv_budget": float(sum(res.per_vertex_certified_error)),

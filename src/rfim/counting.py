@@ -2,13 +2,18 @@
 fixed spins) and sequential approximate sampling, with per-run certified
 error accounting and the whole-instance acceptance check.
 
-Counting and the check are pure Python; only the sampler imports numpy, for
-its generator and its configuration arrays.
+Counting, the check and single draws are pure Python: the sampler draws
+from a `random.Random(seed)`, one uniform per free vertex in
+`free_vertices` order, so `approx_sample` (and `rfim sample`) load no numpy.
+Only `sample_many` imports numpy, for its (count, n) output array.  This
+stream replaced numpy's `default_rng(seed)`, so `rfim sample --seed s` draws
+other configurations than versions before it.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -58,7 +63,7 @@ class CountResult:
 
 @dataclass
 class SampleResult:
-    config: np.ndarray
+    config: list[int]
     depth_used: int | None  # as in CountResult, for the certification pass
     per_vertex_certified_error: list[float]
     tau: float | None
@@ -234,9 +239,7 @@ def approx_sample(
     NODE_BUDGET raises CertifiedErrorTooLarge.  A forced depth gives no eps
     guarantee: the draw only reports its summed certified errors, whatever
     their size."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     walker = SawWalker(inst)
     frontier = _sample_frontier(inst, eps, walker, depth_override)
     return _draw(inst, walker, frontier, rng, {})
@@ -260,7 +263,7 @@ def sample_many(
     """
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     walker = SawWalker(inst)
     frontier = _sample_frontier(inst, eps, walker, depth_override)
     cache: dict = {}
@@ -301,9 +304,8 @@ def _draw(inst, walker, frontier, rng, cache: dict) -> SampleResult:
     """One sequential draw on `frontier` (cut, tau, depth_used).  `cache` is
     a trie over the spins fixed so far: a node holds its step's (marginal,
     certified error) under None and its children under +1 and -1, so a
-    draw adds at most one node per step."""
-    import numpy as np
-
+    draw adds at most one node per step.  `rng` is a `random.Random`, of
+    which the draw takes one `random()` per free vertex."""
     cut, tau, depth = frontier
     boundary_now = dict(inst.boundary)
     step_errs = []
@@ -318,7 +320,7 @@ def _draw(inst, walker, frontier, rng, cache: dict) -> SampleResult:
         step_errs.append(e)
         boundary_now[v] = spin
         node = node.setdefault(spin, {})
-    config = np.array([boundary_now[v] for v in range(inst.graph.n)], dtype=int)
+    config = [boundary_now[v] for v in range(inst.graph.n)]
     return SampleResult(
         config=config, depth_used=depth, per_vertex_certified_error=step_errs, tau=tau
     )

@@ -1,14 +1,22 @@
 """Single-site heat-bath (Glauber) dynamics with the path-coupling
-mixing-time bound, plus the coupled-chain drift experiment."""
+mixing-time bound, plus the coupled-chain drift experiment.
+
+numpy is imported only where a chain runs (`run_chains`,
+`coupled_drift_estimate`) or an all-fixed instance's configuration is
+built, so `glauber_sample` (and `rfim glauber`) load no numpy when the
+instance has no mixing guarantee.
+"""
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graph import max_degree
 from .model import IsingInstance, expit, influence_bound
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Most updates one chain draws from the generator at once.
 _DRAW_BLOCK = 1 << 16
@@ -36,8 +44,10 @@ def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> np.ndarray | N
     None when no mixing guarantee exists."""
     free = inst.free_vertices
     if not free:
+        import numpy as np
+
         return np.array([inst.boundary[v] for v in range(inst.graph.n)])
-    h_min = float(np.min(np.abs(np.asarray(inst.fields, dtype=float)[free])))
+    h_min = min(abs(float(inst.fields[v])) for v in free)
     steps = mixing_time_bound(inst.graph.n, max_degree(inst.graph), inst.beta, h_min, eps)
     if steps is None:
         return None
@@ -58,7 +68,7 @@ def _conditional_table(inst: IsingInstance) -> tuple[list[float], list[int]]:
     """
     b2 = 2.0 * inst.beta
     table, centre = [], []
-    for h, neighbours in zip(np.asarray(inst.fields, dtype=float).tolist(), inst.graph.adjacency):
+    for h, neighbours in zip(map(float, inst.fields), inst.graph.adjacency):
         deg = len(neighbours)
         centre.append(len(table) + deg)
         h2 = 2.0 * h
@@ -84,6 +94,8 @@ def run_chains(
 
     An update costs O(deg x); memory is O(n + m + n_chains * n).
     """
+    import numpy as np
+
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if n_chains < 0:
@@ -127,6 +139,8 @@ def coupled_drift_estimate(
     uniform variate), and records the change in Hamming distance.  Returns
     (mean change, standard error).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     free = inst.free_vertices
     if not free:

@@ -106,7 +106,8 @@ runpy.run_module("rfim.cli", run_name="__main__")
 
 def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
     # every subcommand but gen-fields (Gaussian draws through ndtri) runs
-    # without scipy, and count and check run without numpy as well
+    # without scipy, and count, check and sample run without numpy as well;
+    # the warm instance has a mixing guarantee, so glauber runs a chain
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     path = tmp_path / "warm.json"
     M.save(IsingInstance(g, 0.1, np.array([3.0, -2.5, 4.0, 3.5])), str(path))
@@ -131,12 +132,28 @@ def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
         assert json.loads(res.stdout)["manifest"]["subcommand"] == sub
         modules = ast.literal_eval(res.stderr.splitlines()[-1])
         assert "rfim.counting" in modules
-        assert ("numpy" in modules) == (sub not in ("count", "check")), sub
+        assert ("numpy" in modules) == (sub not in ("count", "check", "sample")), sub
         scipy_modules = [m for m in modules if m.startswith("scipy")]
         if sub == "gen-fields":
             assert "scipy.special" in scipy_modules
         else:
             assert scipy_modules == [], sub
+
+
+def test_glauber_without_guarantee_loads_no_numpy(tmp_path):
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    path = tmp_path / "frozen.json"
+    M.save(IsingInstance(g, 2.0, np.full(4, 0.01)), str(path))
+    res = subprocess.run(
+        [sys.executable, "-c", MODULES_AT_EXIT, "glauber", "--instance", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 3, res.stderr
+    assert json.loads(res.stdout)["no_guarantee"] is True
+    modules = ast.literal_eval(res.stderr.splitlines()[-1])
+    assert "rfim.glauber" in modules
+    assert [m for m in modules if m.startswith(("numpy", "scipy"))] == []
 
 
 def test_import_cli_loads_no_numpy():
@@ -401,3 +418,21 @@ def test_grow_subcommand(tmp_path):
     assert json.loads(res.stdout)["counts"] == [2, 1, 0, 0]
     res = run_cli("grow", "--graph", str(gpath), "--v", "0", "--lmax", "4", "--saw-tree")
     assert json.loads(res.stdout)["counts"] == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("bad", [{"n": 4, "edges": [[0.5, 1]]}, {"n": True, "edges": []}])
+def test_non_integer_graph_entries_give_one_error_line(tmp_path, bad):
+    # a float endpoint used to load truncated, and "n": true as n = 1
+    gobj = {"format": G.GRAPH_FORMAT, **bad}
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(gobj))
+    ipath = tmp_path / "inst.json"
+    ipath.write_text(json.dumps({"format": "rfim-instance-v1", "graph": gobj, "beta": 0.5,
+                                 "fields": [1.0] * int(bad["n"]), "boundary": {}}))
+    for argv in (["grow", "--graph", str(gpath), "--lmax", "2"],
+                 ["count", "--instance", str(ipath)]):
+        res = run_cli(*argv)
+        assert res.returncode == 1, (argv[0], res.stderr)
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: malformed"), res.stderr

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import re
 
 import numpy as np
@@ -251,7 +252,7 @@ def test_sample_many_matches_individual_draws(rng):
     g = random_connected_graph(5, rng)
     inst = IsingInstance(g, 0.5, rng.uniform(-1, 1, 5))
     batch = sample_many(inst, 0.1, 3, 5, depth_override=math.inf)
-    rng2 = np.random.default_rng(3)
+    rng2 = random.Random(3)
     walker = SawWalker(inst)
     frontier = C._sample_frontier(inst, 0.1, walker, math.inf)
     for i in range(5):
@@ -268,9 +269,29 @@ def test_approx_sample_is_first_draw_of_sample_many(rng):
         assert np.array_equal(res.config, first)
         walker = SawWalker(inst)
         frontier = C._sample_frontier(inst, 0.1, walker, depth)
-        again = C._draw(inst, walker, frontier, np.random.default_rng(5), {})
+        again = C._draw(inst, walker, frontier, random.Random(5), {})
         assert np.array_equal(again.config, first)
         assert again.per_vertex_certified_error == res.per_vertex_certified_error
+
+
+def test_approx_sample_matches_reference_replay(rng):
+    # the documented stream: one random.Random(seed).random() per free
+    # vertex, in free_vertices order, against the walked marginal
+    for _ in range(5):
+        n = int(rng.integers(2, 9))
+        g = random_connected_graph(n, rng)
+        inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n), {0: 1})
+        seed = int(rng.integers(1000))
+        for depth in (None, 2):
+            got = approx_sample(inst, 0.1, seed, depth_override=depth)
+            walker = SawWalker(inst)
+            cut, tau, _ = C._sample_frontier(inst, 0.1, walker, depth)
+            ref_rng = random.Random(seed)
+            boundary = dict(inst.boundary)
+            for v in inst.free_vertices:
+                p = walker.walk(v, boundary, cut, tau or 0.0).marginal
+                boundary[v] = 1 if ref_rng.random() < p else -1
+            assert got.config == [boundary[v] for v in range(n)]
 
 
 def test_sample_many_memory_is_linear():

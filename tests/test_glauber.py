@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ def test_no_guarantee_honesty():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     inst = IsingInstance(g, 2.0, np.zeros(4))
     assert glauber_sample(inst, 0.1, 0) is None
+
+
+def test_glauber_sample_same_on_list_array_and_ndarray_fields():
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    for beta, h in ((2.0, [0.01, -0.3, 0.2, 0.5]), (0.1, [3.0, -2.5, 4.0, 3.5])):
+        got = [glauber_sample(IsingInstance(star, beta, fields, {3: -1}), 0.1, 4)
+               for fields in (h, array("d", h), np.array(h))]
+        if beta == 2.0:
+            assert got == [None] * 3
+        else:
+            assert got[0] is not None
+            assert got[0].tolist() == got[1].tolist() == got[2].tolist()
 
 
 def test_glauber_sample_all_fixed():
