@@ -1,18 +1,19 @@
 """Command-line surface: JSON on stdout, diagnostics on stderr.
 
-Exit codes: 0 success, 1 input error, 2 rejection by `check` (certified
-error above eps, or its walks ran out of `counting.NODE_BUDGET` nodes), 3 no
-mixing guarantee from `glauber`, 4 certified error too large (`count` cannot
-certify its estimate at a forced `--depth`, or the tau schedule of `count`
-or `sample` walked `counting.NODE_BUDGET` SAW-tree nodes without its
-certified error fitting eps).
+Exit codes: 0 success, 1 input error (a bad argument, or a malformed, missing
+or unreadable file, `--out` included), 2 rejection by `check` (certified error
+above eps, or its walks ran out of `counting.NODE_BUDGET` nodes), 3 no mixing
+guarantee from `glauber`, 4 certified error too large (`count` cannot certify
+its estimate at a forced `--depth`, or the tau schedule of `count` or `sample`
+walked `counting.NODE_BUDGET` SAW-tree nodes without its error fitting eps).
 
 A forced `--depth` gives no eps guarantee: `count` and `sample` only report
 their bound, and `count` exits 4 only once a step's error reaches 1/4.
 
-Each `cmd_*` returns its output object and exit code.  `cli_dispatch` alone
-attaches the run manifest, writes the JSON to stdout (and to `--out`) and
-turns errors into exit codes, so every output embeds the manifest, the
+Each `cmd_*` reads its files through `_read` and returns its output object
+and exit code.  `cli_dispatch` alone attaches the run manifest, writes the
+JSON to `--out` and stdout, and turns errors into exit codes (an OSError
+names the file that failed), so every output embeds the manifest, the
 exit-2 object of `check` and the exit-3 object of `glauber` included.
 Re-running the same manifest reproduces the output byte for byte.
 """
@@ -20,6 +21,7 @@ Re-running the same manifest reproduces the output byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -65,13 +67,12 @@ def _emit(obj: dict, out: str | None) -> None:
     sys.stdout.write(text)
 
 
-def _load_instance(path: str) -> model.IsingInstance:
+def _read(what: str, path: str, parse):
+    """parse(path); a malformed file raises one ValueError naming it."""
     try:
-        return model.load(path)
-    except FileNotFoundError:
-        raise ValueError(f"instance file not found: {path}")
+        return parse(path)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as e:
-        raise ValueError(f"malformed instance {path}: {e}")
+        raise ValueError(f"malformed {what} {path}: {e}")
 
 
 def _parse_depth(text: str | None):
@@ -95,6 +96,12 @@ def _finite(text: str) -> float:
     raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def cmd_gen_graph(args) -> tuple[dict, int]:
     from . import randgen
 
@@ -113,12 +120,12 @@ def cmd_gen_fields(args) -> tuple[dict, int]:
 
 
 def cmd_exact(args) -> tuple[dict, int]:
-    inst = _load_instance(args.instance)
+    inst = _read("instance", args.instance, model.load)
     return {"log_z": model.exact_partition(inst, max_free=args.max_free)}, EXIT_OK
 
 
 def cmd_count(args) -> tuple[dict, int]:
-    inst = _load_instance(args.instance)
+    inst = _read("instance", args.instance, model.load)
     depth = _parse_depth(args.depth)
     res = counting.approx_partition(inst, args.eps, depth_override=depth)
     report = counting.check_instance(inst, args.eps, h0=args.h0)
@@ -135,7 +142,7 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_sample(args) -> tuple[dict, int]:
-    inst = _load_instance(args.instance)
+    inst = _read("instance", args.instance, model.load)
     depth = _parse_depth(args.depth)
     res = counting.approx_sample(inst, args.eps, args.seed, depth_override=depth)
     obj = {
@@ -150,7 +157,7 @@ def cmd_sample(args) -> tuple[dict, int]:
 def cmd_glauber(args) -> tuple[dict, int]:
     from . import glauber
 
-    inst = _load_instance(args.instance)
+    inst = _read("instance", args.instance, model.load)
     config = glauber.glauber_sample(inst, args.eps, args.seed)
     if config is None:
         return {"no_guarantee": True}, EXIT_NO_GUARANTEE
@@ -158,65 +165,45 @@ def cmd_glauber(args) -> tuple[dict, int]:
 
 
 def cmd_check(args) -> tuple[dict, int]:
-    inst = _load_instance(args.instance)
+    inst = _read("instance", args.instance, model.load)
     report = counting.check_instance(inst, args.eps, h0=args.h0)
-    obj = {
-        "accepted": bool(report.accepted),
-        "reason": report.reason,
-        "influence_ok": report.influence_ok,
-        "paths_ok": report.paths_ok,
-        "rate": _json_num(report.rate),
-        "h0": report.h0,
-        "certified_rel_err": _json_num(report.certified_rel_err),
-        "depth": report.depth,
-        "tau": report.tau,
-        "nodes": report.nodes,
-    }
+    obj = {k: "inf" if isinstance(x, float) and not math.isfinite(x) else x
+           for k, x in dataclasses.asdict(report).items()}
     return obj, EXIT_OK if report.accepted else EXIT_REJECTED
 
 
-def _json_num(x):
-    if x is None:
-        return None
-    return x if math.isfinite(x) else "inf"
-
-
-def _config_int(cfg: dict, key: str, default: int, path: str) -> int:
-    """cfg[key] (default when absent) as an int; integral floats count."""
-    x = cfg.get(key, default)
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
+def _config_int(cfg: dict, key: str, default: int) -> int:
+    """cfg[key] (default when absent) as an int >= 0; integral floats count."""
+    if key not in cfg:
+        return default
+    x = cfg[key]
     if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise ValueError(f"malformed perc config {path}: {key!r} must be an integer, got {x!r}")
+        x = int(x)
+    if not graphmod.is_int(x) or x < 0:
+        raise ValueError(f"{key!r} must be a non-negative integer, got {x!r}")
+    return x
 
 
 def cmd_perc(args) -> tuple[dict, int]:
     from . import percolation
 
-    try:
-        with open(args.config) as f:
+    def parse(path):
+        with open(path) as f:
             cfg = json.load(f)
-    except FileNotFoundError:
-        raise ValueError(f"config file not found: {args.config}")
-    except ValueError as e:
-        raise ValueError(f"malformed JSON in {args.config}: {e}")
-    if not isinstance(cfg, dict) or cfg.get("format") != "rfim-perc-v1":
-        raise ValueError("expected format 'rfim-perc-v1'")
-    try:
-        inst_path = cfg["instance"]
-        region = [int(v) for v in cfg["A"]]
-        eta = {int(v): int(s) for v, s in cfg["eta"].items()}
-        xi = {int(v): int(s) for v, s in cfg["xi"].items()}
-    except KeyError as e:
-        raise ValueError(f"{args.config} has no {e} entry")
-    except (AttributeError, TypeError) as e:
-        raise ValueError(f"malformed perc config {args.config}: {e}")
-    base = os.path.dirname(args.config) or "."
-    inst = _load_instance(os.path.join(base, inst_path))
-    # the config's values override the flags, and the manifest records them
-    args.trials = _config_int(cfg, "trials", args.trials, args.config)
-    args.seed = _config_int(cfg, "seed", args.seed, args.config)
+        if not isinstance(cfg, dict) or cfg.get("format") != "rfim-perc-v1":
+            raise ValueError("expected format 'rfim-perc-v1'")
+        # the config's values override the flags, and the manifest records them
+        args.trials = _config_int(cfg, "trials", args.trials)
+        args.seed = _config_int(cfg, "seed", args.seed)
+        region = cfg["A"]
+        eta, xi = ({int(v): s for v, s in cfg[k].items()} for k in ("eta", "xi"))
+        if not all(map(graphmod.is_int, [*region, *eta.values(), *xi.values()])):
+            raise ValueError("'A' and the 'eta' and 'xi' spins must be integers")
+        inst_path = os.path.join(os.path.dirname(path) or ".", cfg["instance"])
+        return inst_path, region, eta, xi
+
+    inst_path, region, eta, xi = _read("perc config", args.config, parse)
+    inst = _read("instance", inst_path, model.load)
     report = percolation.tv_domination_check(inst, region, eta, xi, args.trials, args.seed)
     obj = {
         "tv_exact": report.tv_exact,
@@ -234,12 +221,7 @@ def cmd_perc(args) -> tuple[dict, int]:
 def cmd_grow(args) -> tuple[dict, int]:
     from . import randgen
 
-    try:
-        g = graphmod.load(args.graph)
-    except FileNotFoundError:
-        raise ValueError(f"graph file not found: {args.graph}")
-    except ValueError as e:
-        raise ValueError(f"malformed graph {args.graph}: {e}")
+    g = _read("graph", args.graph, graphmod.load)
     if not 0 <= args.v < g.n:
         raise ValueError(f"--v {args.v} is not a vertex of the {g.n}-vertex graph")
     counts = randgen.neighborhood_growth(g, args.v, args.lmax, in_saw_tree=args.saw_tree)
@@ -259,14 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen-graph", cmd_gen_graph)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = add("gen-fields", cmd_gen_fields)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=["gaussian", "two_point"], default="gaussian")
     p.add_argument("--variance", type=float, default=1.0)
     p.add_argument("--magnitude", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = add("exact", cmd_exact)
     p.add_argument("--instance", required=True)
@@ -281,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sample", cmd_sample)
     p.add_argument("--instance", required=True)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--depth", default=None)
 
     p = add("glauber", cmd_glauber)
     p.add_argument("--instance", required=True)
     p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = add("check", cmd_check)
     p.add_argument("--instance", required=True)
@@ -297,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("perc", cmd_perc)
     p.add_argument("--config", required=True)
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = add("grow", cmd_grow)
     p.add_argument("--graph", required=True)
@@ -316,14 +298,14 @@ def cli_dispatch(argv: list[str]) -> int:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
         obj, code = args.fn(args)
-    except ValueError as e:  # input errors, model.EnumerationTooLarge included
+        obj["manifest"] = _manifest(args)
+        _emit(obj, args.out)
+    except (ValueError, OSError) as e:  # bad input or files; EnumerationTooLarge included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except counting.CertifiedErrorTooLarge as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR_TOO_LARGE
-    obj["manifest"] = _manifest(args)
-    _emit(obj, args.out)
     return code
 
 

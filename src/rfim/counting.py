@@ -5,9 +5,7 @@ error accounting and the whole-instance acceptance check.
 Counting, the check and single draws are pure Python: the sampler draws
 from a `random.Random(seed)`, one uniform per free vertex in
 `free_vertices` order, so `approx_sample` (and `rfim sample`) load no numpy.
-Only `sample_many` imports numpy, for its (count, n) output array.  This
-stream replaced numpy's `default_rng(seed)`, so `rfim sample --seed s` draws
-other configurations than versions before it.
+Only `sample_many` imports numpy, for its (count, n) output array.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ def default_h0(delta: int, beta: float) -> float:
 
 
 def choose_depth(n: int, eps: float, c1: float, ell0: int) -> int:
-    """Truncation depth max{ceil(log(4n/eps)/c1), ell0}."""
+    """Truncation depth max{ceil(log(4n/eps)/c1), ell0}; ell0 never binds in `check_instance`."""
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0,1)")
     if c1 <= 0.0:
@@ -331,37 +329,31 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
 
     Walks each vertex's SAW tree cut at the uniform depth
     max{ceil(log(4n/eps)/rate), ell0} and pruned at tau = eps/(4n)/TAU_STEP,
-    one step below the first tau of the count schedule.  The certified
-    error of a walk holds leaf by leaf, so for this frontier too.  The
-    walks check the strong-spatial-mixing certificate, whose path rule
-    (`paths_ok`) is read on the walked frontier and does not gate the
-    verdict, and aggregate per-vertex certified errors through the
-    worst-case composition e/(1/2 - e).  Accepts exactly when the aggregate
+    one step below the first tau of the count schedule; ell0 never binds
+    here.  The certified error of a walk holds leaf by leaf, so for this
+    frontier too.  The walks check the strong-spatial-mixing certificate,
+    whose path rule (`paths_ok`) is read on the walked frontier and does
+    not gate the verdict, and aggregate per-vertex certified errors through
+    the worst-case composition e/(1/2 - e).  Accepts exactly when the aggregate
     is at most eps; a rejection's reason names the vertex of largest
     certified error.  The walks share a budget of NODE_BUDGET walker nodes;
     when it runs out the instance is rejected.
     """
     _check_eps(eps)
-    n = inst.graph.n
     delta = max_degree(inst.graph)
     if h0 is None:
         h0 = default_h0(delta, inst.beta)
     rate = rate_constant(delta, h0, inst.beta)
+    report = CertificateReport(influence_ok=rate is not None, paths_ok=False, rate=rate, h0=h0,
+                               nodes=0)
     if rate is None:
-        return CertificateReport(
-            influence_ok=False,
-            paths_ok=False,
-            rate=None,
-            h0=h0,
-            accepted=False,
-            reason=f"influence condition fails at h0={h0:.4g}",
-            nodes=0,
-        )
-    # ell0: the depth at which the certified decay reaches 1/n
-    ell0 = 0 if math.isinf(rate) else math.ceil(math.log(max(n, 2)) / rate)
-    depth = choose_depth(n, eps, rate, ell0)
+        report.reason = f"influence condition fails at h0={h0:.4g}"
+        return report
+    # ell0 = ceil(log max(n, 2) / rate) never binds: for eps < 1, 4n/eps >
+    # max(n, 2), and at rate = inf both terms give depth 1
+    report.depth = depth = choose_depth(inst.graph.n, eps, rate, 0)
     cut = _forced_cut(inst, depth)
-    tau = _first_tau(inst, eps) / TAU_STEP
+    report.tau = tau = _first_tau(inst, eps) / TAU_STEP
 
     walker = SawWalker(inst, h0)
     budget = _Budget(NODE_BUDGET)
@@ -369,32 +361,21 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     try:
         walks = [budget.walk(walker, v, inst.boundary, cut, tau) for v in free]
     except NodeBudgetExhausted as e:
-        nodes = budget.used + e.nodes
-        reason = f"node budget ran out after {nodes} walker nodes at depth {depth}"
-        return CertificateReport(influence_ok=True, paths_ok=False, rate=rate, h0=h0,
-                                 accepted=False, reason=reason, depth=depth, tau=tau,
-                                 nodes=nodes)
+        report.nodes = budget.used + e.nodes
+        report.reason = f"node budget ran out after {report.nodes} walker nodes at depth {depth}"
+        return report
+    report.nodes = budget.used
+    report.paths_ok = all(w.paths_ok for w in walks)
 
     per_vertex = [w.error for w in walks]
     if any(e >= STEP_ERROR_LIMIT for e in per_vertex):
         total = math.inf
     else:
         total = sum(e / (0.5 - e) for e in per_vertex)
-    accepted = total <= eps
-    reason = ""
-    if not accepted:
+    report.certified_rel_err = float(total)
+    report.accepted = total <= eps
+    if not report.accepted:
         e, v = max(zip(per_vertex, free), key=lambda ev: ev[0])
-        reason = (f"aggregated certified error {total:.3g} > {eps}; "
-                  f"largest at vertex {v}, certified error {e:.3g}")
-    return CertificateReport(
-        influence_ok=True,
-        paths_ok=all(w.paths_ok for w in walks),
-        rate=rate,
-        h0=h0,
-        accepted=accepted,
-        reason=reason,
-        certified_rel_err=float(total),
-        depth=depth,
-        tau=tau,
-        nodes=budget.used,
-    )
+        report.reason = (f"aggregated certified error {total:.3g} > {eps}; "
+                         f"largest at vertex {v}, certified error {e:.3g}")
+    return report

@@ -89,8 +89,7 @@ def run_chains(
     its uniform lies below its conditional probability of +1).  The result is
     deterministic given (seed, steps, n_chains), and chain i does not depend
     on n_chains, so `run_chains(inst, s, k, seed)[0] == run_chain(inst, s,
-    seed)`.  This stream differs from the lockstep interleaving of versions
-    before it, so their outputs are not reproduced.
+    seed)`.
 
     An update costs O(deg x); memory is O(n + m + n_chains * n).
     """

@@ -124,7 +124,8 @@ def to_json_dict(g: Graph) -> dict:
     return {"format": GRAPH_FORMAT, "n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
-def _is_int(x) -> bool:
+def is_int(x) -> bool:
+    """A JSON integer: an int, not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -135,13 +136,13 @@ def from_json_dict(obj: dict) -> Graph:
     if not isinstance(obj, dict) or obj.get("format") != GRAPH_FORMAT:
         raise GraphFormatError(f"expected format {GRAPH_FORMAT!r}")
     n = obj.get("n")
-    if not _is_int(n) or n < 0:
+    if not is_int(n) or n < 0:
         raise GraphFormatError("field 'n' must be a non-negative integer")
     edges = obj.get("edges")
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list of vertex pairs")
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+        if not (isinstance(e, list) and len(e) == 2 and all(map(is_int, e))):
             raise GraphFormatError(f"malformed edge entry {e!r}")
     return Graph.from_edges(n, edges)
 

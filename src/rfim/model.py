@@ -282,12 +282,18 @@ def from_json_dict(obj: dict, base_dir: str = ".") -> IsingInstance:
     if not isinstance(fields, list):
         raise ValueError(f"fields must be a list of numbers, got {type(fields).__name__}")
     for v, x in enumerate(fields):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
+        if not (graphmod.is_int(x) or isinstance(x, float)):
             raise ValueError(f"field at vertex {v} must be a number, got {x!r}")
-    boundary = {int(v): int(s) for v, s in obj.get("boundary", {}).items()}
+    beta = obj["beta"]
+    if not (graphmod.is_int(beta) or isinstance(beta, float)):
+        raise ValueError(f"beta must be a number, got {beta!r}")
+    boundary = {int(v): s for v, s in obj.get("boundary", {}).items()}
+    for v, s in boundary.items():
+        if not graphmod.is_int(s):
+            raise ValueError(f"boundary spin at {v} must be +-1, got {s!r}")
     # an array("d") holds 8 bytes per field, as a numpy array would; a list
     # of floats holds about 32
-    return IsingInstance(g, float(obj["beta"]), array("d", fields), boundary)
+    return IsingInstance(g, float(beta), array("d", fields), boundary)
 
 
 def load(path: str) -> IsingInstance:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ from rfim import graph as G
 from rfim import model as M
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_partition
+from rfim.sawtree import CertificateReport
 
 
 def run_cli(*args):
@@ -76,7 +78,11 @@ def test_check_exit_codes(tmp_path):
     M.save(IsingInstance(g, 0.2, np.full(4, 8.0)), str(good))
     res = run_cli("check", "--instance", str(good))
     assert res.returncode == 0
-    assert json.loads(res.stdout)["accepted"] is True
+    obj = json.loads(res.stdout)
+    assert obj["accepted"] is True
+    # the output is the report, field for field
+    del obj["manifest"]
+    assert set(obj) == {f.name for f in dataclasses.fields(CertificateReport)}
 
 
 def test_glauber_exit_codes(tmp_path):
@@ -242,6 +248,11 @@ def test_non_finite_arguments_exit_one(triangle_instance):
         ("fields", [True, 1.0, 2.0]),
         ("fields", [10**400, 1.0, 2.0]),
         ("fields", "1.0"),
+        ("beta", "0.3"),
+        ("beta", True),
+        ("boundary", {"0": 1.5}),
+        ("boundary", {"0": True}),
+        ("boundary", {"0": "1"}),
     ],
 )
 def test_malformed_instance_gives_one_error_line(triangle_instance, tmp_path, key, value):
@@ -284,6 +295,61 @@ def test_bad_vertex_and_config_give_one_error_line(tmp_path):
         assert res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
+@pytest.mark.parametrize(
+    "case", ["dir-count", "dir-check", "dir-grow", "dir-perc", "missing-graph", "out-nodir",
+             "perc-instance-int"])
+def test_unreadable_files_give_one_error_line(tmp_path, case):
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    G.save(g, str(tmp_path / "g.json"))
+    inst = tmp_path / "inst.json"
+    M.save(IsingInstance(g, 1.0, np.zeros(4), {0: 1}), str(inst))
+    graph_path = str(tmp_path / "missing-g.json")
+    no_graph = tmp_path / "no_graph.json"
+    no_graph.write_text(json.dumps({"format": "rfim-instance-v1", "graph": "missing-g.json",
+                                    "beta": 0.5, "fields": [1.0] * 4, "boundary": {}}))
+    perc = tmp_path / "perc.json"
+    perc.write_text(json.dumps({"format": "rfim-perc-v1", "instance": 5,
+                                "A": [3], "eta": {"0": 1}, "xi": {"0": -1}}))
+    out = tmp_path / "nodir" / "o.json"
+    argv, named = {
+        "dir-count": (["count", "--instance", str(tmp_path)], str(tmp_path)),
+        "dir-check": (["check", "--instance", str(tmp_path)], str(tmp_path)),
+        "dir-grow": (["grow", "--graph", str(tmp_path), "--lmax", "2"], str(tmp_path)),
+        "dir-perc": (["perc", "--config", str(tmp_path)], str(tmp_path)),
+        "missing-graph": (["count", "--instance", str(no_graph)], graph_path),
+        "out-nodir": (["check", "--instance", str(inst), "--out", str(out)], str(out)),
+        "perc-instance-int": (["perc", "--config", str(perc)], str(perc)),
+    }[case]
+    res = run_cli(*argv)
+    assert res.returncode == 1, res.stderr
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0], res.stderr
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("sub", ["gen-graph", "gen-fields", "sample", "glauber", "perc",
+                                 "perc-config"])
+def test_negative_seed_exits_one(triangle_instance, tmp_path, sub):
+    _, path = triangle_instance
+    cfg_path = tmp_path / "perc.json"
+    cfg_path.write_text(json.dumps({"format": "rfim-perc-v1", "instance": path,
+                                    "A": [2], "eta": {}, "xi": {}, "seed": -1}))
+    argv = {
+        "gen-graph": ["gen-graph", "--n", "4", "--delta", "2", "--seed", "-1"],
+        "gen-fields": ["gen-fields", "--n", "4", "--seed", "-1"],
+        "sample": ["sample", "--instance", path, "--seed", "-1"],
+        "glauber": ["glauber", "--instance", path, "--seed", "-1"],
+        "perc": ["perc", "--config", str(cfg_path), "--seed", "-1"],
+        "perc-config": ["perc", "--config", str(cfg_path)],
+    }[sub]
+    # random.Random seeds from |seed|, so -1 used to draw what 1 draws
+    res = run_cli(*argv)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert ("'seed'" if sub == "perc-config" else "--seed") in res.stderr
 
 
 def test_byte_determinism(triangle_instance):
@@ -354,6 +420,13 @@ def test_perc_rejects_repeated_region_and_off_boundary_eta_xi(tmp_path):
         ("repeat", [2, 2], {"0": 1}, {"0": -1}),
         ("empty", [3], {}, {}),
         ("extra", [3], {"0": 1, "1": 1}, {"0": -1, "1": 1}),
+        # region vertices and spins are JSON integers, not truncated or cast
+        ("float_a", [2.7], {"0": 1}, {"0": -1}),
+        ("bool_a", [True], {"0": 1}, {"0": -1}),
+        ("string_a", ["3"], {"0": 1}, {"0": -1}),
+        ("float_eta", [3], {"0": 1.5}, {"0": -1}),
+        ("bool_eta", [3], {"0": True}, {"0": -1}),
+        ("string_xi", [3], {"0": 1}, {"0": "-1"}),
     ):
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps({"format": "rfim-perc-v1", "instance": "inst.json",
