@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 input error (a bad argument, or a malformed, missing
 or unreadable file, `--out` included), 2 rejection by `check` (certified error
-above eps, or its walks ran out of `counting.NODE_BUDGET` nodes), 3 no mixing
+above eps, or its walks ran out of `sawtree.NODE_BUDGET` nodes), 3 no mixing
 guarantee from `glauber`, 4 certified error too large (`count` cannot certify
-its estimate at a forced `--depth`, or the tau schedule of `count` or `sample`
-walked `counting.NODE_BUDGET` SAW-tree nodes without its error fitting eps).
+its estimate at a forced `--depth`), or `sawtree.NODE_BUDGET` SAW-tree nodes
+walked by the tau schedule of `count` or `sample` without its error fitting
+eps, by a forced-depth pass or draw, or by `grow --saw-tree`.
 
 A forced `--depth` gives no eps guarantee: `count` and `sample` only report
-their bound, and `count` exits 4 only once a step's error reaches 1/4.
+their bound, and `count` exits 4 for its error only once a step's error
+reaches 1/4.
 
 Each `cmd_*` reads its files through `_read` and returns its output object
 and exit code.  `cli_dispatch` alone attaches the run manifest, writes the
@@ -31,7 +33,7 @@ from . import __version__
 # percolation and randgen import numpy at module level, and glauber to run
 # a chain, so each cmd_* that uses one imports it itself: count, check and
 # sample load no numpy, nor glauber on an instance without a guarantee
-from . import counting, graph as graphmod, model
+from . import counting, graph as graphmod, model, sawtree
 
 FORMATS = [
     "rfim-graph-v1",
@@ -196,7 +198,7 @@ def cmd_perc(args) -> tuple[dict, int]:
         args.trials = _config_int(cfg, "trials", args.trials)
         args.seed = _config_int(cfg, "seed", args.seed)
         region = cfg["A"]
-        eta, xi = ({int(v): s for v, s in cfg[k].items()} for k in ("eta", "xi"))
+        eta, xi = ({model.vertex_key(v): s for v, s in cfg[k].items()} for k in ("eta", "xi"))
         if not all(map(graphmod.is_int, [*region, *eta.values(), *xi.values()])):
             raise ValueError("'A' and the 'eta' and 'xi' spins must be integers")
         inst_path = os.path.join(os.path.dirname(path) or ".", cfg["instance"])
@@ -303,7 +305,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except (ValueError, OSError) as e:  # bad input or files; EnumerationTooLarge included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except counting.CertifiedErrorTooLarge as e:
+    except (counting.CertifiedErrorTooLarge, sawtree.NodeBudgetExhausted) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR_TOO_LARGE
     return code

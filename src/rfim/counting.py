@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import max_degree
-from .model import IsingInstance, hamiltonian
+from .model import IsingInstance, check_eps, hamiltonian
 from .sawtree import CertificateReport, NodeBudgetExhausted, SawWalker, rate_constant
 
 # Unused here; kept importable because the perfbench tracer wraps these names
@@ -34,11 +34,6 @@ if TYPE_CHECKING:
 #: Per-step certified marginal error above which the log-ratio bound
 #: e/(p_hat - e) is no longer controlled (p_hat >= 1/2).
 STEP_ERROR_LIMIT = 0.25
-
-#: Walker nodes that the tau schedule of one `approx_partition`,
-#: `approx_sample` or `sample_many` call may walk, summed over its attempts,
-#: and that the walks of one `check_instance` call may walk.
-NODE_BUDGET = 10**7
 
 #: Factor by which tau falls from one attempt to the next.
 TAU_STEP = 100.0
@@ -73,20 +68,14 @@ def default_h0(delta: int, beta: float) -> float:
     return abs(beta) * d + math.log(d) + 3.0
 
 
-def choose_depth(n: int, eps: float, c1: float, ell0: int) -> int:
-    """Truncation depth max{ceil(log(4n/eps)/c1), ell0}; ell0 never binds in `check_instance`."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0,1)")
+def choose_depth(n: int, eps: float, c1: float) -> int:
+    """Truncation depth ceil(log(4n/eps)/c1), and 1 at c1 = inf."""
+    check_eps(eps)
     if c1 <= 0.0:
         raise ValueError("no certified rate: c1 must be > 0")
     if math.isinf(c1):
-        return max(ell0, 1)
-    return max(math.ceil(math.log(4.0 * n / eps) / c1), ell0)
-
-
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0,1)")
+        return 1
+    return math.ceil(math.log(4.0 * n / eps) / c1)
 
 
 def _forced_cut(inst: IsingInstance, depth) -> int | None:
@@ -96,19 +85,6 @@ def _forced_cut(inst: IsingInstance, depth) -> int | None:
     return None if cut is not None and cut >= inst.graph.n else cut
 
 
-class _Budget:
-    """Counts one call's walker nodes against `limit` (None: no limit)."""
-
-    def __init__(self, limit: int | None = None):
-        self.limit, self.used = limit, 0
-
-    def walk(self, walker: SawWalker, v: int, boundary, cut: int | None, tau: float):
-        left = None if self.limit is None else self.limit - self.used
-        res = walker.walk(v, boundary, cut, tau, left)
-        self.used += res.node_count
-        return res
-
-
 def _first_tau(inst: IsingInstance, eps: float) -> float:
     """eps/(4n), where the tau schedule starts and the check's tau is taken."""
     return eps / (4.0 * max(inst.graph.n, 1))
@@ -116,26 +92,22 @@ def _first_tau(inst: IsingInstance, eps: float) -> float:
 
 def _fit_tau(inst: IsingInstance, eps: float, certify):
     """(tau, result) for the first tau of eps/(4n), eps/(4n)/TAU_STEP, ...
-    whose pass fits eps, where `certify(tau, budget)` walks under `budget`
-    and returns (certified error, result), the error math.inf when a step's
-    certified error reached STEP_ERROR_LIMIT.
+    whose pass fits eps, where `certify(tau)` returns (certified error,
+    result), the error math.inf when a step's certified error reached
+    STEP_ERROR_LIMIT.
 
-    The passes share one budget of NODE_BUDGET walker nodes; when it runs
-    out, CertifiedErrorTooLarge says how the last finished pass failed, or
-    that none finished.  The schedule ends: once tau underflows to 0 the
-    pass is exact.
+    The passes walk with one walker, so they share its budget of
+    NODE_BUDGET walker nodes; when it runs out, CertifiedErrorTooLarge says
+    how the last finished pass failed, or that none finished.  The schedule
+    ends: once tau underflows to 0 the pass is exact.
     """
-    budget = _Budget(NODE_BUDGET)
     tau = _first_tau(inst, eps)
     last = "no tau pass finished"
     while True:
         try:
-            err, result = certify(tau, budget)
+            err, result = certify(tau)
         except NodeBudgetExhausted as e:
-            raise CertifiedErrorTooLarge(
-                f"node budget ran out after {budget.used + e.nodes} walker nodes at "
-                f"tau={tau:.3g}; {last}"
-            ) from None
+            raise CertifiedErrorTooLarge(f"{e} at tau={tau:.3g}; {last}") from None
         if err <= eps:
             return tau, result
         if math.isinf(err):
@@ -153,20 +125,17 @@ class _Pass(NamedTuple):
 
 
 def _telescoping_pass(
-    inst: IsingInstance, cut_depth: int | None, tau: float = 0.0, budget: _Budget | None = None
+    inst: IsingInstance, walker: SawWalker, cut_depth: int | None, tau: float = 0.0
 ) -> _Pass:
     """One greedy pass: fix each free spin to its majority branch, walking
-    each tree cut at `cut_depth` and pruned at `tau`, with its nodes counted
-    against `budget` (no limit when None).  Raises CertifiedErrorTooLarge
-    when a step's certified error reaches 1/4."""
-    walker = SawWalker(inst)
-    budget = budget or _Budget()
+    each tree with `walker`, cut at `cut_depth` and pruned at `tau`.  Raises
+    CertifiedErrorTooLarge when a step's certified error reaches 1/4."""
     boundary_now = dict(inst.boundary)
     log_r = []
     step_errs = []
     depth = 0
     for v in inst.free_vertices:
-        res = budget.walk(walker, v, boundary_now, cut_depth, tau)
+        res = walker.walk(v, boundary_now, cut_depth, tau)
         p, e = res.marginal, res.error
         if e >= STEP_ERROR_LIMIT:
             raise CertifiedErrorTooLarge(
@@ -192,21 +161,23 @@ def approx_partition(
     """Estimate log Z with a certified relative-error bound.
 
     With a forced depth (math.inf = untruncated), one telescoping pass at
-    that uniform cut, whatever its certified error.  Otherwise the pass is
-    walked on the influence-pruned frontier at each tau of `_fit_tau`, and
-    the first pass whose certified total error fits eps is kept; the
-    schedule raises CertifiedErrorTooLarge once it has walked NODE_BUDGET
-    nodes.
+    that uniform cut, whatever its certified error; it raises
+    NodeBudgetExhausted once it has walked NODE_BUDGET nodes.  Otherwise
+    the pass is walked on the influence-pruned frontier at each tau of
+    `_fit_tau`, and the first pass whose certified total error fits eps is
+    kept; the schedule raises CertifiedErrorTooLarge once it has walked
+    NODE_BUDGET nodes.
     """
-    _check_eps(eps)
+    check_eps(eps)
+    walker = SawWalker(inst)
     if depth_override is not None:
         cut = _forced_cut(inst, depth_override)
-        done, tau, depth = _telescoping_pass(inst, cut), None, cut
+        done, tau, depth = _telescoping_pass(inst, walker, cut), None, cut
     else:
 
-        def certify(tau, budget):
+        def certify(tau):
             try:
-                done = _telescoping_pass(inst, None, tau, budget)
+                done = _telescoping_pass(inst, walker, None, tau)
             except CertifiedErrorTooLarge:
                 return math.inf, None
             return sum(done.step_errs), done
@@ -234,9 +205,9 @@ def approx_sample(
     Gibbs draw; truncation adds at most the summed certified errors in total
     variation.  The frontier is a forced depth or the first tau of the
     schedule whose budget fits eps (see `_sample_frontier`); running out of
-    NODE_BUDGET raises CertifiedErrorTooLarge.  A forced depth gives no eps
-    guarantee: the draw only reports its summed certified errors, whatever
-    their size."""
+    NODE_BUDGET raises CertifiedErrorTooLarge there, and NodeBudgetExhausted
+    in a draw at a forced depth.  A forced depth gives no eps guarantee: the
+    draw only reports its summed certified errors, whatever their size."""
     rng = random.Random(seed)
     walker = SawWalker(inst)
     frontier = _sample_frontier(inst, eps, walker, depth_override)
@@ -257,7 +228,8 @@ def sample_many(
     only on the instance, so `_sample_frontier` chooses it once for all
     draws; without a forced depth its tau schedule runs under one node
     budget, and each draw then walks at most the nodes of the kept
-    certification pass.  Returns an array of shape (count, n).
+    certification pass.  Each draw has a budget of its own.  Returns an
+    array of shape (count, n).
     """
     import numpy as np
 
@@ -279,15 +251,15 @@ def _sample_frontier(inst, eps, walker, depth_override):
     the boundary only turns walked nodes into leaves, and a pruned node's
     path product is the same in both walks, so a draw's frontier leaves are
     a subset of these.  Draws no random numbers."""
-    _check_eps(eps)
+    check_eps(eps)
     if depth_override is not None:
         cut = _forced_cut(inst, depth_override)
         return cut, None, cut
 
-    def certify(tau, budget):
+    def certify(tau):
         total, depth = 0.0, 0
         for v in inst.free_vertices:
-            res = budget.walk(walker, v, inst.boundary, None, tau)
+            res = walker.walk(v, inst.boundary, None, tau)
             if res.error >= STEP_ERROR_LIMIT:
                 return math.inf, None
             total += res.error
@@ -303,8 +275,12 @@ def _draw(inst, walker, frontier, rng, cache: dict) -> SampleResult:
     a trie over the spins fixed so far: a node holds its step's (marginal,
     certified error) under None and its children under +1 and -1, so a
     draw adds at most one node per step.  `rng` is a `random.Random`, of
-    which the draw takes one `random()` per free vertex."""
+    which the draw takes one `random()` per free vertex.  The draw's walks
+    share a budget of NODE_BUDGET walker nodes; a draw on a tau frontier
+    walks a subset of its certification pass's nodes, so only a forced
+    depth can run it out."""
     cut, tau, depth = frontier
+    walker.nodes = 0
     boundary_now = dict(inst.boundary)
     step_errs = []
     node = cache
@@ -328,18 +304,18 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     """Per-instance acceptance certificate for the counting run.
 
     Walks each vertex's SAW tree cut at the uniform depth
-    max{ceil(log(4n/eps)/rate), ell0} and pruned at tau = eps/(4n)/TAU_STEP,
-    one step below the first tau of the count schedule; ell0 never binds
-    here.  The certified error of a walk holds leaf by leaf, so for this
-    frontier too.  The walks check the strong-spatial-mixing certificate,
-    whose path rule (`paths_ok`) is read on the walked frontier and does
-    not gate the verdict, and aggregate per-vertex certified errors through
-    the worst-case composition e/(1/2 - e).  Accepts exactly when the aggregate
-    is at most eps; a rejection's reason names the vertex of largest
-    certified error.  The walks share a budget of NODE_BUDGET walker nodes;
-    when it runs out the instance is rejected.
+    ceil(log(4n/eps)/rate) and pruned at tau = eps/(4n)/TAU_STEP, one step
+    below the first tau of the count schedule.  The certified error of a
+    walk holds leaf by leaf, so for this frontier too.  The walks check the
+    strong-spatial-mixing certificate, whose path rule (`paths_ok`) is read
+    on the walked frontier and does not gate the verdict, and aggregate
+    per-vertex certified errors through the worst-case composition
+    e/(1/2 - e).  Accepts exactly when the aggregate is at most eps; a
+    rejection's reason names the vertex of largest certified error.  The
+    walks share a budget of NODE_BUDGET walker nodes; when it runs out the
+    instance is rejected.
     """
-    _check_eps(eps)
+    check_eps(eps)
     delta = max_degree(inst.graph)
     if h0 is None:
         h0 = default_h0(delta, inst.beta)
@@ -349,22 +325,21 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     if rate is None:
         report.reason = f"influence condition fails at h0={h0:.4g}"
         return report
-    # ell0 = ceil(log max(n, 2) / rate) never binds: for eps < 1, 4n/eps >
-    # max(n, 2), and at rate = inf both terms give depth 1
-    report.depth = depth = choose_depth(inst.graph.n, eps, rate, 0)
+    # the paper's ell0 = ceil(log max(n, 2) / rate) never binds: for
+    # eps < 1, 4n/eps > max(n, 2), and at rate = inf both terms give depth 1
+    report.depth = depth = choose_depth(inst.graph.n, eps, rate)
     cut = _forced_cut(inst, depth)
     report.tau = tau = _first_tau(inst, eps) / TAU_STEP
 
     walker = SawWalker(inst, h0)
-    budget = _Budget(NODE_BUDGET)
     free = inst.free_vertices
     try:
-        walks = [budget.walk(walker, v, inst.boundary, cut, tau) for v in free]
+        walks = [walker.walk(v, inst.boundary, cut, tau) for v in free]
     except NodeBudgetExhausted as e:
-        report.nodes = budget.used + e.nodes
-        report.reason = f"node budget ran out after {report.nodes} walker nodes at depth {depth}"
+        report.reason = f"{e} at depth {depth}"
         return report
-    report.nodes = budget.used
+    finally:
+        report.nodes = walker.nodes
     report.paths_ok = all(w.paths_ok for w in walks)
 
     per_vertex = [w.error for w in walks]

@@ -13,7 +13,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .graph import max_degree
-from .model import IsingInstance, expit, influence_bound
+from .model import IsingInstance, check_eps, expit, influence_bound
 
 if TYPE_CHECKING:
     import numpy as np
@@ -31,8 +31,7 @@ def conditional_plus_probability(inst: IsingInstance, config: np.ndarray, x: int
 def mixing_time_bound(n: int, delta: int, beta: float, h_min: float, eps: float) -> int | None:
     """Path-coupling mixing-time bound, or None (no guarantee) when the
     per-step contraction delta*M(delta, h_min, beta) < 1 fails."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0,1)")
+    check_eps(eps)
     contraction = 1.0 - delta * influence_bound(delta, h_min, beta)
     if contraction <= 0.0:
         return None
@@ -42,6 +41,7 @@ def mixing_time_bound(n: int, delta: int, beta: float, h_min: float, eps: float)
 def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> np.ndarray | None:
     """Run the chain from the all-(+1) start for the certified number of steps;
     None when no mixing guarantee exists."""
+    check_eps(eps)
     free = inst.free_vertices
     if not free:
         import numpy as np

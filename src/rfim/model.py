@@ -70,6 +70,11 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
     return np.squeeze(out, axis=axes)[()]
 
 
+def check_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0,1)")
+
+
 class EnumerationTooLarge(ValueError):
     """Instance has more free vertices than the enumeration cap allows."""
 
@@ -268,6 +273,14 @@ def to_json_dict(inst: IsingInstance) -> dict:
     }
 
 
+def vertex_key(key: str) -> int:
+    """The vertex a JSON boundary key names.  Only canonical decimals are
+    keys, so "00", " 1" and "+0" cannot name a vertex a second time."""
+    if not (key.isdecimal() and str(int(key)) == key):
+        raise ValueError(f"boundary key {key!r} is not a canonical vertex number")
+    return int(key)
+
+
 def from_json_dict(obj: dict, base_dir: str = ".") -> IsingInstance:
     if not isinstance(obj, dict) or obj.get("format") != INSTANCE_FORMAT:
         raise ValueError(f"expected format {INSTANCE_FORMAT!r}")
@@ -287,7 +300,7 @@ def from_json_dict(obj: dict, base_dir: str = ".") -> IsingInstance:
     beta = obj["beta"]
     if not (graphmod.is_int(beta) or isinstance(beta, float)):
         raise ValueError(f"beta must be a number, got {beta!r}")
-    boundary = {int(v): s for v, s in obj.get("boundary", {}).items()}
+    boundary = {vertex_key(v): s for v, s in obj.get("boundary", {}).items()}
     for v, s in boundary.items():
         if not graphmod.is_int(s):
             raise ValueError(f"boundary spin at {v} must be +-1, got {s!r}")

@@ -45,16 +45,21 @@ class FieldSpec:
 
 
 def gen_er_graph(n: int, delta: float, seed: int) -> Graph:
-    """Erdos-Renyi graph on n vertices with edge probability delta/n."""
+    """Erdos-Renyi graph on n vertices with edge probability delta/n.
+
+    One uniform per pair i < j, drawn row by row in the order of
+    np.triu_indices(n, k=1), so memory is O(n + m) rather than O(n^2)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p = delta / n
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0,1]")
     rng = np.random.default_rng(seed)
-    ii, jj = np.triu_indices(n, k=1)
-    mask = rng.random(len(ii)) < p
-    return Graph.from_edges(n, zip(ii[mask].tolist(), jj[mask].tolist()))
+    edges = []
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
+        edges.extend((i, j) for j in hits.tolist())
+    return Graph.from_edges(n, edges)
 
 
 def gaussian_from_uniform(u: np.ndarray, variance: float) -> np.ndarray:
@@ -99,7 +104,9 @@ def load_fields(path: str) -> np.ndarray:
 def neighborhood_growth(
     g: Graph, v: int, ell_max: int, in_saw_tree: bool = False
 ) -> list[int]:
-    """|N(v, d)| for d = 1..ell_max, in the graph or in the SAW tree at v."""
+    """|N(v, d)| for d = 1..ell_max, in the graph or in the SAW tree at v.
+    The SAW-tree walks share one walker's budget of NODE_BUDGET nodes, and
+    raise NodeBudgetExhausted when it runs out."""
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     if not in_saw_tree:

@@ -18,7 +18,6 @@ walker is tested against.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,11 +34,16 @@ def _child_term(x: float, b2: float) -> float:
             - max(x, b2) - math.log1p(math.exp(-abs(x - b2))))
 
 
+#: Walker nodes that one `SawWalker` may walk before its `nodes` is set
+#: back to 0.
+NODE_BUDGET = 10**7
+
+
 class NodeBudgetExhausted(RuntimeError):
-    """A walk expanded a node after walking more than its `max_nodes`."""
+    """A walk would expand a node after its walker walked NODE_BUDGET nodes."""
 
     def __init__(self, nodes: int):
-        super().__init__(f"walk stopped after {nodes} nodes")
+        super().__init__(f"node budget ran out after {nodes} walker nodes")
         self.nodes = nodes
 
 
@@ -76,6 +80,9 @@ class SawWalker:
     computed once here rather than once per node.  The walks share one
     vertex-position list, so a walk costs memory and time in the nodes it
     walks, not in n, and one walker runs one walk at a time.
+
+    `nodes` counts the nodes walked since the walker was made or `nodes`
+    was last set to 0; the walks between share one budget of NODE_BUDGET.
     """
 
     def __init__(self, inst: IsingInstance, h0: float | None = None):
@@ -92,6 +99,7 @@ class SawWalker:
         self.large = [1] * g.n if h0 is None else [int(abs(x) >= h0) for x in h]
         # pos[w] = depth of w on the current walk, or -1; all -1 between walks
         self._pos = [-1] * g.n
+        self.nodes = 0
 
     def walk(
         self,
@@ -99,15 +107,15 @@ class SawWalker:
         boundary: dict[int, int],
         cut_depth: int | None = None,
         tau: float = 0.0,
-        max_nodes: int | None = None,
     ) -> SawWalk:
         """Walk the tree `build_saw_tree` would build for these arguments,
         with frontier leaves fixed to +1.
 
         A free child becomes a frontier leaf at depth `cut_depth`, or when
         the influence product of its expanded ancestors is below `tau`
-        (tau = 0 prunes nothing).  The walk raises NodeBudgetExhausted when
-        it would expand a node after walking more than `max_nodes` nodes.
+        (tau = 0 prunes nothing).  The walk adds its nodes to `nodes`, and
+        raises NodeBudgetExhausted when it would expand a node once `nodes`
+        has passed NODE_BUDGET.
 
         Iterative depth-first walk in tree order.  Each expanded node keeps a
         frame (vertex, parent, neighbour iterator, running log-odds, influence
@@ -124,15 +132,17 @@ class SawWalker:
             raise ValueError("cut_depth must be >= 0")
         paths_ok = True if self.h0 is not None else None
         if root in boundary:
+            self.nodes += 1
             return SawWalk(math.inf if boundary[root] == 1 else -math.inf, 0.0, 1, paths_ok, 0)
         if cut_depth == 0:
+            self.nodes += 1
             return SawWalk(math.inf, 1.0, 1, paths_ok, 0)
 
         adjacency, influence, large = self.adjacency, self.influence, self.large
         h2, b2 = self.h2, self.b2
         # a SAW has fewer than n edges, so an untruncated walk never reaches n
         last = self.n if cut_depth is None else cut_depth - 1
-        limit = sys.maxsize if max_nodes is None else max_nodes
+        limit = NODE_BUDGET - self.nodes
         child_term = _child_term
 
         path = [root]  # path[d] = vertex at depth d on the current walk
@@ -169,7 +179,7 @@ class SawWalker:
                         acc += b2  # frontier leaf, fixed to +1
                     else:
                         if count > limit:
-                            raise NodeBudgetExhausted(count)
+                            raise NodeBudgetExhausted(self.nodes + count)
                         frames.append((v, parent, it, acc, prod, n_free, n_large))
                         parent, v = v, w
                         depth += 1
@@ -194,6 +204,7 @@ class SawWalker:
                     v, parent, it, acc, prod, n_free, n_large = frames.pop()
                     acc += term
         finally:
+            self.nodes += count
             for w in path:
                 pos[w] = -1
 

@@ -100,6 +100,15 @@ def test_glauber_exit_codes(tmp_path):
     config = json.loads(res.stdout)["config"]
     assert len(config) == 4 and set(config) <= {-1, 1}
 
+    # eps is checked before an all-fixed instance returns its configuration
+    fixed = tmp_path / "fixed.json"
+    M.save(IsingInstance(g, 0.5, np.zeros(4), {0: 1, 1: -1, 2: 1, 3: 1}), str(fixed))
+    res = run_cli("glauber", "--instance", str(fixed))
+    assert json.loads(res.stdout)["config"] == [1, -1, 1, 1]
+    res = run_cli("glauber", "--instance", str(fixed), "--eps", "5")
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "error: eps must lie in (0,1)\n"
+
 
 # runs `rfim <argv>` and writes the imported module names to stderr at exit
 MODULES_AT_EXIT = """
@@ -181,6 +190,29 @@ def test_count_error_too_large_exits_four(tmp_path):
     assert res.stdout == "" and "certified" in res.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--depth", "inf"],
+    ["sample", "--depth", "inf"],
+    ["grow", "--lmax", "3", "--saw-tree"],
+])
+def test_spent_node_budget_exits_four(triangle_instance, tmp_path, monkeypatch, capsys, argv):
+    from rfim import sawtree
+    from rfim.cli import cli_dispatch
+
+    inst, path = triangle_instance
+    gpath = tmp_path / "g.json"
+    G.save(inst.graph, str(gpath))
+    # each walk of the triangle's tree expands past 3 nodes
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 3)
+    argv = [*argv, "--graph", str(gpath)] if argv[0] == "grow" else [*argv, "--instance", path]
+    capsys.readouterr()
+    assert cli_dispatch(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: node budget ran out after"), err
+
+
 def test_input_errors_exit_one(tmp_path):
     assert run_cli("exact", "--instance", str(tmp_path / "missing.json")).returncode == 1
     bad = tmp_path / "bad.json"
@@ -253,6 +285,9 @@ def test_non_finite_arguments_exit_one(triangle_instance):
         ("boundary", {"0": 1.5}),
         ("boundary", {"0": True}),
         ("boundary", {"0": "1"}),
+        ("boundary", {"0": 1, "00": -1}),
+        ("boundary", {" 1": 1}),
+        ("boundary", {"+0": 1}),
     ],
 )
 def test_malformed_instance_gives_one_error_line(triangle_instance, tmp_path, key, value):
@@ -427,6 +462,10 @@ def test_perc_rejects_repeated_region_and_off_boundary_eta_xi(tmp_path):
         ("float_eta", [3], {"0": 1.5}, {"0": -1}),
         ("bool_eta", [3], {"0": True}, {"0": -1}),
         ("string_xi", [3], {"0": 1}, {"0": "-1"}),
+        # boundary keys are canonical decimals, so no two name one vertex
+        ("padded_eta", [3], {"00": 1}, {"0": -1}),
+        ("spaced_xi", [3], {"0": 1}, {" 0": -1}),
+        ("signed_xi", [3], {"0": 1}, {"+0": -1}),
     ):
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps({"format": "rfim-perc-v1", "instance": "inst.json",

@@ -9,6 +9,7 @@ import pytest
 
 from rfim import counting as C
 from rfim import model as M
+from rfim import sawtree
 from rfim.counting import (
     approx_partition,
     approx_sample,
@@ -19,24 +20,23 @@ from rfim.counting import (
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_partition, exact_region_law, hamiltonian
 from rfim.randgen import FieldSpec, gen_er_graph, gen_fields
-from rfim.sawtree import SawWalker
+from rfim.sawtree import NodeBudgetExhausted, SawWalker
 
 from conftest import random_connected_graph
 
 
 def test_choose_depth_examples():
-    assert choose_depth(100, 0.1, 1.0, 0) == 9  # ceil(log 4000)
-    assert choose_depth(100, 0.1, 1.0, 50) == 50
-    assert choose_depth(2, 0.9, 10.0, 0) == 1
+    assert choose_depth(100, 0.1, 1.0) == 9  # ceil(log 4000)
+    assert choose_depth(2, 0.9, 10.0) == 1
 
 
 def test_choose_depth_errors():
     with pytest.raises(ValueError):
-        choose_depth(10, 0.1, 0.0, 0)
+        choose_depth(10, 0.1, 0.0)
     with pytest.raises(ValueError):
-        choose_depth(10, 0.1, -1.0, 0)
+        choose_depth(10, 0.1, -1.0)
     with pytest.raises(ValueError):
-        choose_depth(10, 1.5, 1.0, 0)
+        choose_depth(10, 1.5, 1.0)
 
 
 def test_rate_constant_edge_cases():
@@ -102,7 +102,7 @@ def test_greedy_sequence_has_mass(rng):
         n = int(rng.integers(2, 8))
         g = random_connected_graph(n, rng)
         inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n))
-        done = C._telescoping_pass(inst, None)
+        done = C._telescoping_pass(inst, SawWalker(inst), None)
         log_p = -hamiltonian(inst, done.config) - exact_partition(inst)
         assert log_p >= -n * math.log(2) - 1e-9
 
@@ -120,9 +120,9 @@ def record_count_attempts(monkeypatch):
     seen = []
     orig = C._telescoping_pass
 
-    def spy(inst, cut_depth, tau=0.0, budget=None):
+    def spy(inst, walker, cut_depth, tau=0.0):
         try:
-            done = orig(inst, cut_depth, tau, budget)
+            done = orig(inst, walker, cut_depth, tau)
         except C.CertifiedErrorTooLarge:
             seen.append((tau, math.inf))
             raise
@@ -378,20 +378,19 @@ def test_variance_25_certifies_under_the_node_budget():
 
 def test_node_budget_exhaustion_raises(monkeypatch, tmp_path, capsys):
     inst = variance_25_instance()
-    monkeypatch.setattr(C, "NODE_BUDGET", 5000)
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 5000)
     with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
         approx_partition(inst, 0.01)
     with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
         approx_sample(inst, 0.01, 0)
     with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
         sample_many(inst, 0.01, 0, 3)
-    # a forced depth walks one pass without a budget
+    # a forced depth walks its pass under a budget too
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     square = IsingInstance(g, 0.5, np.full(4, 0.5))
-    monkeypatch.setattr(C, "NODE_BUDGET", 1)
-    res = approx_partition(square, 0.1, depth_override=math.inf)
-    assert res.tau is None and res.depth_used is None
-    assert res.log_z_estimate == pytest.approx(exact_partition(square), abs=1e-9)
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 1)
+    with pytest.raises(NodeBudgetExhausted, match="node budget ran out after 2 walker nodes"):
+        approx_partition(square, 0.1, depth_override=math.inf)
 
     from rfim.cli import cli_dispatch
 
@@ -405,9 +404,31 @@ def test_node_budget_exhaustion_raises(monkeypatch, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: node budget")
 
 
+def test_sample_many_budget_is_per_draw(monkeypatch):
+    k4 = Graph.from_edges(4, list(itertools.combinations(range(4), 2)))
+    inst = IsingInstance(k4, 0.3, np.array([0.2, -0.1, 0.0, 0.3]))
+    walked = []  # nodes each draw walks
+    orig = C._draw
+
+    def spy(inst, walker, frontier, rng, cache):
+        res = orig(inst, walker, frontier, rng, cache)
+        walked.append(walker.nodes)
+        return res
+
+    monkeypatch.setattr(C, "_draw", spy)
+    draws = sample_many(inst, 0.1, 0, 20, depth_override=math.inf)
+    # the call walks more than a budget that its largest draw fits
+    assert sum(walked) > max(walked)
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", max(walked))
+    assert (sample_many(inst, 0.1, 0, 20, depth_override=math.inf) == draws).all()
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", max(walked) // 2)
+    with pytest.raises(NodeBudgetExhausted):
+        sample_many(inst, 0.1, 0, 20, depth_override=math.inf)
+
+
 def test_budget_message_says_how_the_schedule_failed(monkeypatch):
     # the budget runs out inside the first tau pass
-    monkeypatch.setattr(C, "NODE_BUDGET", 300)
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 300)
     with pytest.raises(C.CertifiedErrorTooLarge) as info:
         approx_partition(variance_25_instance(), 0.01)
     msg = str(info.value)
@@ -416,7 +437,7 @@ def test_budget_message_says_how_the_schedule_failed(monkeypatch):
     # 106 nodes, and the exact pass after it needs more than the budget
     k6 = Graph.from_edges(6, list(itertools.combinations(range(6), 2)))
     inst = IsingInstance(k6, 0.05, np.full(6, 0.1))
-    monkeypatch.setattr(C, "NODE_BUDGET", 500)
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 500)
     with pytest.raises(C.CertifiedErrorTooLarge) as info:
         approx_partition(inst, 0.5)
     msg = str(info.value)
@@ -426,7 +447,7 @@ def test_budget_message_says_how_the_schedule_failed(monkeypatch):
 
 def test_check_rejects_when_node_budget_runs_out(monkeypatch, tmp_path, capsys):
     inst = variance_25_instance()
-    monkeypatch.setattr(C, "NODE_BUDGET", 500)
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 500)
     report = check_instance(inst, 0.01)
     assert not report.accepted and report.influence_ok
     assert report.paths_ok is False and report.certified_rel_err is None

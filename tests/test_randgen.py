@@ -26,6 +26,20 @@ def test_er_extremes():
     assert len(complete.edges()) == 10
 
 
+def test_er_matches_the_triu_mask_reference():
+    # the reference draws all n(n-1)/2 uniforms in one call over the pairs
+    # of np.triu_indices; the generator draws them row by row
+    def reference(n, delta, seed):
+        ii, jj = np.triu_indices(n, k=1)
+        mask = np.random.default_rng(seed).random(len(ii)) < delta / n
+        return Graph.from_edges(n, zip(ii[mask].tolist(), jj[mask].tolist()))
+
+    for n in (4, 5, 20, 200, 2000):
+        for delta in (0.5, 3.0):
+            for seed in (0, 9000, 9200):
+                assert gen_er_graph(n, delta, seed) == reference(n, delta, seed)
+
+
 def test_er_input_errors():
     with pytest.raises(ValueError):
         gen_er_graph(0, 1.0, seed=0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfim import sawtree
 from rfim.graph import Graph, max_degree
 from rfim.model import IsingInstance, exact_marginal, influence_bound
 from rfim.sawtree import (
@@ -362,17 +363,28 @@ def test_pruned_walk_is_sound(case):
         )
 
 
-def test_walk_stops_past_max_nodes():
+def test_walk_stops_past_max_nodes(monkeypatch):
     g = Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
     walker = SawWalker(zero_inst(g, beta=0.5))
     full = walker.walk(0, {}).node_count
-    assert walker.walk(0, {}, max_nodes=full).node_count == full
+    assert walker.nodes == full
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", full)
+    walker.nodes = 0
+    assert walker.walk(0, {}).node_count == full
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 100)
+    walker.nodes = 0
     with pytest.raises(NodeBudgetExhausted) as info:
-        walker.walk(0, {}, max_nodes=100)
+        walker.walk(0, {})
     # it stops at its first expansion past the limit; the leaves walked
     # since the last expansion are at most 5 per level of the walk stack
     assert 100 < info.value.nodes <= 100 + 5 * 6
-    # the stopped walk leaves nothing behind for the walker's next walks
+    assert walker.nodes == info.value.nodes
+    # the budget spans walks: one more walk stops at its first expansion
+    with pytest.raises(NodeBudgetExhausted) as info:
+        walker.walk(1, {})
+    assert info.value.nodes == walker.nodes
+    # the stopped walks leave nothing behind for the walker's next walks
+    monkeypatch.undo()
     fresh = SawWalker(zero_inst(g, beta=0.5))
     for root in range(6):
         assert walker.walk(root, {}, cut_depth=4) == fresh.walk(root, {}, cut_depth=4)
