@@ -30,9 +30,8 @@ import os
 import sys
 
 from . import __version__
-# percolation and randgen import numpy at module level, and glauber to run
-# a chain, so each cmd_* that uses one imports it itself: count, check and
-# sample load no numpy, nor glauber on an instance without a guarantee
+# percolation and randgen import numpy at module level, so each cmd_* that
+# uses one imports it itself: count, check, sample and glauber load no numpy
 from . import counting, graph as graphmod, model, sawtree
 
 FORMATS = [
@@ -163,7 +162,7 @@ def cmd_glauber(args) -> tuple[dict, int]:
     config = glauber.glauber_sample(inst, args.eps, args.seed)
     if config is None:
         return {"no_guarantee": True}, EXIT_NO_GUARANTEE
-    return {"config": [int(s) for s in config]}, EXIT_OK
+    return {"config": config}, EXIT_OK
 
 
 def cmd_check(args) -> tuple[dict, int]:

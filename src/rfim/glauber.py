@@ -1,15 +1,15 @@
 """Single-site heat-bath (Glauber) dynamics with the path-coupling
 mixing-time bound, plus the coupled-chain drift experiment.
 
-numpy is imported only where a chain runs (`run_chains`,
-`coupled_drift_estimate`) or an all-fixed instance's configuration is
-built, so `glauber_sample` (and `rfim glauber`) load no numpy when the
-instance has no mixing guarantee.
+Chains draw from `random.Random` and keep their spins in lists, so
+`glauber_sample` (and `rfim glauber`) load no numpy; only `run_chains`,
+for its ndarray result, and `coupled_drift_estimate` import it.
 """
 
 from __future__ import annotations
 
 import math
+from random import Random
 from typing import TYPE_CHECKING
 
 from .graph import max_degree
@@ -17,9 +17,6 @@ from .model import IsingInstance, check_eps, expit, influence_bound
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: Most updates one chain draws from the generator at once.
-_DRAW_BLOCK = 1 << 16
 
 
 def conditional_plus_probability(inst: IsingInstance, config: np.ndarray, x: int) -> float:
@@ -38,20 +35,18 @@ def mixing_time_bound(n: int, delta: int, beta: float, h_min: float, eps: float)
     return math.ceil(n * math.log(n / eps) / contraction)
 
 
-def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> np.ndarray | None:
+def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> list[int] | None:
     """Run the chain from the all-(+1) start for the certified number of steps;
     None when no mixing guarantee exists."""
     check_eps(eps)
     free = inst.free_vertices
     if not free:
-        import numpy as np
-
-        return np.array([inst.boundary[v] for v in range(inst.graph.n)])
+        return [inst.boundary[v] for v in range(inst.graph.n)]
     h_min = min(abs(float(inst.fields[v])) for v in free)
     steps = mixing_time_bound(inst.graph.n, max_degree(inst.graph), inst.beta, h_min, eps)
     if steps is None:
         return None
-    return run_chain(inst, steps, seed)
+    return _chains(inst, steps, 1, seed, +1)[0]
 
 
 def run_chain(inst: IsingInstance, steps: int, seed: int, init_spin: int = +1) -> np.ndarray:
@@ -82,49 +77,53 @@ def run_chains(
     """Final configurations of `n_chains` independent heat-bath chains, each
     started from `init_spin` on every free vertex and run for `steps` updates.
 
-    The chains run one after another from one generator seeded with `seed`.
-    A chain draws its updates in blocks of at most 2**16: a block of m
-    updates is `rng.integers(len(free), size=m)` (indices into the free
-    vertices) followed by `rng.random(m)` (the chosen vertex becomes +1 when
-    its uniform lies below its conditional probability of +1).  The result is
+    The chains run one after another from one `random.Random(seed)`.  An
+    update draws two uniforms: the first, u, picks the free vertex
+    `free_vertices[floor(u * len(free_vertices))]` (as `random.choices`
+    does); the chosen vertex becomes +1 when the second lies below its
+    conditional probability of +1, and -1 otherwise.  The result is
     deterministic given (seed, steps, n_chains), and chain i does not depend
     on n_chains, so `run_chains(inst, s, k, seed)[0] == run_chain(inst, s,
-    seed)`.
+    seed)`, and that is `glauber_sample`'s chain when s is its step count.
 
     An update costs O(deg x); memory is O(n + m + n_chains * n).
     """
     import numpy as np
 
+    return np.array(_chains(inst, steps, n_chains, seed, init_spin), dtype=int).reshape(
+        n_chains, inst.graph.n)
+
+
+def _chains(
+    inst: IsingInstance, steps: int, n_chains: int, seed: int, init_spin: int
+) -> list[list[int]]:
+    """`run_chains`' configurations as lists of spins."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if n_chains < 0:
         raise ValueError(f"n_chains must be >= 0, got {n_chains}")
     if init_spin not in (-1, 1):
         raise ValueError(f"init_spin must be +-1, got {init_spin}")
-    n = inst.graph.n
-    start = [init_spin] * n
+    start = [init_spin] * inst.graph.n
     for v, s in inst.boundary.items():
         start[v] = s
-    configs = np.empty((n_chains, n), dtype=int)
-    configs[:] = start
-    free = np.array(inst.free_vertices, dtype=np.intp)
-    if len(free) == 0 or steps == 0:
-        return configs
+    free = inst.free_vertices
+    if not free or steps == 0:
+        return [start.copy() for _ in range(n_chains)]
+    k = len(free)
     adjacency = inst.graph.adjacency
     table, centre = _conditional_table(inst)
-    rng = np.random.default_rng(seed)
-    for c in range(n_chains):
+    random, floor = Random(seed).random, math.floor
+    configs = []
+    for _ in range(n_chains):
         config = start.copy()
-        for done in range(0, steps, _DRAW_BLOCK):
-            m = min(_DRAW_BLOCK, steps - done)
-            xs = free[rng.integers(len(free), size=m)].tolist()
-            us = rng.random(m).tolist()
-            for x, u in zip(xs, us):
-                t = centre[x]
-                for y in adjacency[x]:
-                    t += config[y]
-                config[x] = 1 if u < table[t] else -1
-        configs[c] = config
+        for _ in range(steps):
+            x = free[floor(random() * k)]
+            t = centre[x]
+            for y in adjacency[x]:
+                t += config[y]
+            config[x] = 1 if random() < table[t] else -1
+        configs.append(config)
     return configs
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from random import Random
 
 import numpy as np
 
@@ -19,11 +20,6 @@ from .model import (
 
 #: z-score for the 99.7% Wilson intervals used in all Monte Carlo reports.
 WILSON_Z = 3.0
-
-#: `connection_probability` draws its uniforms in blocks of at most this many
-#: (at least one trial's worth), so memory is bounded by n, not by the trials.
-#: 2^16 runs as fast as 2^20 on ER(2000, 3) and holds 0.7 MB, not 10 MB.
-_BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -39,7 +35,7 @@ class SitePercolationSpec:
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (self.graph.n,):
             raise ValueError("one probability per vertex required")
-        if np.any((p < 0) | (p > 1)):
+        if not np.all((p >= 0) & (p <= 1)):  # False for NaN as well
             raise ValueError("probabilities must lie in [0,1]")
         object.__setattr__(self, "probabilities", p)
         for v in self.boundary_open:
@@ -82,32 +78,33 @@ def influence_probabilities(inst: IsingInstance) -> np.ndarray:
     )
 
 
-def sample_site_percolation(spec: SitePercolationSpec, seed: int) -> np.ndarray:
-    """Boolean open indicator per vertex."""
-    open_ = np.random.default_rng(seed).random(spec.graph.n) < spec.probabilities
-    for v in spec.boundary_open:
-        open_[v] = True
-    return open_
+_OPEN, _CLOSED = 1, 2  # per-trial site states; 0 is undecided
 
 
-def _cluster_hits(adjacency, open_: bytes, sources, target: bytearray, seen: bytearray) -> bool:
-    """Mark in `seen` the open vertices joined to the open `sources` by open
-    paths (one byte per vertex in `open_`, `target` and `seen`); True as soon
-    as a marked vertex is a `target`, with the search cut short there."""
-    stack = []
+def _cluster_hits(adjacency, p, sources, target: bytearray, state: bytearray, draw) -> bool:
+    """Grow the open cluster of the `sources`, which are open, depth first.
+
+    `state` holds one byte per vertex, all undecided (0) on entry.  The
+    sources become open without a draw.  The search pops the last vertex
+    pushed (the sources are pushed in the given order) and scans its
+    neighbours in adjacency order; an undecided neighbour w is decided then,
+    by one `draw()`: open, and pushed, when the draw lies below p[w], closed
+    otherwise.  True as soon as an open vertex is a `target`, with the search
+    cut short there; on False, `state` marks the whole cluster open.
+    """
     for v in sources:
-        if open_[v] and not seen[v]:
-            if target[v]:
-                return True
-            seen[v] = 1
-            stack.append(v)
+        state[v] = _OPEN
+    stack = list(sources)
     while stack:
         for w in adjacency[stack.pop()]:
-            if open_[w] and not seen[w]:
-                if target[w]:
-                    return True
-                seen[w] = 1
-                stack.append(w)
+            if not state[w]:
+                if draw() < p[w]:
+                    if target[w]:
+                        return True
+                    state[w] = _OPEN
+                    stack.append(w)
+                else:
+                    state[w] = _CLOSED
     return False
 
 
@@ -116,8 +113,10 @@ def connection_probability(
 ) -> Estimate:
     """Monte Carlo estimate of P(boundary_open <-> targets).
 
-    Trial t opens the sites with the t-th n uniforms of one generator seeded
-    with `seed`; they are drawn in blocks of rows, which is the same stream.
+    Every trial runs `_cluster_hits` from the sorted `boundary_open` with
+    the `random()` of one `random.Random(seed)`, so it draws one uniform per
+    site that its search touches, in the order it touches them, and none
+    for the sites it never reaches.
     """
     n = spec.graph.n
     targets = set(targets)
@@ -130,15 +129,11 @@ def connection_probability(
         raise ValueError("targets must be disjoint from boundary_open")
     if trials <= 0:
         raise ValueError("trials must be > 0")
-    rng = np.random.default_rng(seed)
-    sources = sorted(spec.boundary_open)
-    rows = max(1, _BLOCK_DRAWS // max(n, 1))
+    draw = Random(seed).random
+    p, sources = spec.probabilities.tolist(), sorted(spec.boundary_open)
     hits = 0
-    for start in range(0, trials, rows):
-        block = rng.random((min(rows, trials - start), n)) < spec.probabilities
-        block[:, sources] = True
-        for row in block:
-            hits += _cluster_hits(spec.graph.adjacency, row.tobytes(), sources, target, bytearray(n))
+    for _ in range(trials):
+        hits += _cluster_hits(spec.graph.adjacency, p, sources, target, bytearray(n), draw)
     return wilson_interval(hits, trials)
 
 
@@ -329,28 +324,27 @@ def averaged_decay_profile(
 ) -> dict[int, Estimate]:
     """Field-averaged connection probabilities from x, per distance class.
 
-    `field_sampler(rng)` returns one realization of the per-vertex fields.
-    For each trial the site probabilities are M(deg, h, beta) and the estimate
-    at distance d averages the indicator of x <-> y over vertices y at
-    distance d and over trials.
+    `field_sampler(rng)` returns one realization of the per-vertex fields,
+    drawn from a numpy generator seeded with `seed`.  For each trial the site
+    probabilities are M(deg, h, beta), and `_cluster_hits` grows the open
+    cluster of x with the same generator's `random()`.  The estimate at
+    distance d averages the indicator of x <-> y over vertices y at distance
+    d and over trials.
     """
     rng = np.random.default_rng(seed)
     dist = bfs_distances(g, x)
-    classes: dict[int, list[int]] = {}
+    sizes: dict[int, int] = {}
     for y in range(g.n):
         if y != x and dist[y] != UNREACHABLE:
-            classes.setdefault(dist[y], []).append(y)
-    hits = {d: 0 for d in classes}
-    totals = {d: 0 for d in classes}
+            sizes[dist[y]] = sizes.get(dist[y], 0) + 1
+    hits = dict.fromkeys(sizes, 0)
     nowhere = bytearray(g.n)
     for _ in range(trials):
         h = np.asarray(field_sampler(rng), dtype=float)
-        p = np.array([influence_bound(g.degree(v), h[v], beta) for v in range(g.n)])
-        open_ = rng.random(g.n) < p
-        seen = bytearray(g.n)
-        _cluster_hits(g.adjacency, open_.tobytes(), [x], nowhere, seen)
-        reach = np.frombuffer(seen, dtype=bool)
-        for d, ys in classes.items():
-            hits[d] += int(np.sum(reach[ys]))
-            totals[d] += len(ys)
-    return {d: wilson_interval(hits[d], totals[d]) for d in sorted(classes)}
+        p = [influence_bound(g.degree(v), h[v], beta) for v in range(g.n)]
+        state = bytearray(g.n)
+        _cluster_hits(g.adjacency, p, [x], nowhere, state, rng.random)
+        for y, s in enumerate(state):
+            if s == _OPEN and y != x:
+                hits[dist[y]] += 1
+    return {d: wilson_interval(hits[d], sizes[d] * trials) for d in sorted(sizes)}

@@ -121,8 +121,9 @@ runpy.run_module("rfim.cli", run_name="__main__")
 
 def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
     # every subcommand but gen-fields (Gaussian draws through ndtri) runs
-    # without scipy, and count, check and sample run without numpy as well;
-    # the warm instance has a mixing guarantee, so glauber runs a chain
+    # without scipy, and count, check, sample and glauber run without numpy
+    # as well; the warm instance has a mixing guarantee, so glauber runs a
+    # chain (perc loads numpy for the exact enumeration of its region law)
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     path = tmp_path / "warm.json"
     M.save(IsingInstance(g, 0.1, np.array([3.0, -2.5, 4.0, 3.5])), str(path))
@@ -147,7 +148,9 @@ def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
         assert json.loads(res.stdout)["manifest"]["subcommand"] == sub
         modules = ast.literal_eval(res.stderr.splitlines()[-1])
         assert "rfim.counting" in modules
-        assert ("numpy" in modules) == (sub not in ("count", "check", "sample")), sub
+        assert ("numpy" in modules) == (sub not in ("count", "check", "sample", "glauber")), sub
+        if sub == "glauber":
+            assert len(json.loads(res.stdout)["config"]) == 4
         scipy_modules = [m for m in modules if m.startswith("scipy")]
         if sub == "gen-fields":
             assert "scipy.special" in scipy_modules

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 from array import array
 
@@ -100,13 +101,25 @@ def test_glauber_sample_same_on_list_array_and_ndarray_fields():
             assert got == [None] * 3
         else:
             assert got[0] is not None
-            assert got[0].tolist() == got[1].tolist() == got[2].tolist()
+            assert got[0] == got[1] == got[2]
 
 
 def test_glauber_sample_all_fixed():
     g = Graph.from_edges(2, [(0, 1)])
     inst = IsingInstance(g, 2.0, np.zeros(2), {0: 1, 1: -1})
-    assert list(glauber_sample(inst, 0.1, 0)) == [1, -1]
+    assert glauber_sample(inst, 0.1, 0) == [1, -1]
+
+
+def test_glauber_sample_is_first_chain_of_run_chains(rng):
+    for _ in range(5):
+        n = int(rng.integers(2, 9))
+        g = random_connected_graph(n, rng)
+        h = rng.choice([-1, 1], n) * rng.uniform(3.0, 5.0, n)
+        inst = IsingInstance(g, 0.1, h, {0: 1})
+        eps, seed = 0.05, int(rng.integers(1000))
+        delta = max(len(a) for a in g.adjacency)
+        steps = mixing_time_bound(n, delta, 0.1, min(abs(h[1:])), eps)
+        assert glauber_sample(inst, eps, seed) == run_chains(inst, steps, 1, seed)[0].tolist()
 
 
 def test_empirical_stationarity_triangle():
@@ -157,28 +170,24 @@ def test_first_chain_independent_of_chain_count(rng):
         assert np.array_equal(run_chains(inst, 200, k, seed=11)[0], single)
 
 
-def test_run_chains_matches_reference_replay(rng, monkeypatch):
-    # a small draw block forces several blocks per chain; the replay below is
-    # the documented stream driven through conditional_plus_probability
-    monkeypatch.setattr(GL, "_DRAW_BLOCK", 7)
+def test_run_chains_matches_reference_replay(rng):
+    # the documented stream driven through conditional_plus_probability: per
+    # update the vertex, as random.choices picks it, then its uniform
     for _ in range(5):
         n = int(rng.integers(2, 9))
         g = random_connected_graph(n, rng)
         inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n), {0: 1})
         steps, chains, seed = 30, 3, int(rng.integers(1000))
         got = run_chains(inst, steps, chains, seed, init_spin=-1)
-        ref_rng = np.random.default_rng(seed)
+        ref_rng = random.Random(seed)
         free = inst.free_vertices
         for c in range(chains):
             config = np.full(n, -1)
             config[0] = 1
-            for done in range(0, steps, 7):
-                m = min(7, steps - done)
-                xs = ref_rng.integers(len(free), size=m)
-                us = ref_rng.random(m)
-                for i, u in zip(xs, us):
-                    x = free[i]
-                    config[x] = 1 if u < conditional_plus_probability(inst, config, x) else -1
+            for _ in range(steps):
+                x = ref_rng.choices(free)[0]
+                u = ref_rng.random()
+                config[x] = 1 if u < conditional_plus_probability(inst, config, x) else -1
             assert got[c].tolist() == config.tolist()
 
 

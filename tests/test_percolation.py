@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from rfim.percolation import (
     coupled_exploration_sweep,
     domination_spec,
     exact_tv_on_region,
-    sample_site_percolation,
     tv_domination_check,
     wilson_interval,
 )
@@ -25,33 +26,13 @@ def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def test_sample_extreme_probabilities():
-    g = path_graph(5)
-    closed = SitePercolationSpec(g, np.zeros(5), frozenset({0}))
-    open_ = sample_site_percolation(closed, 3)
-    assert list(np.flatnonzero(open_)) == [0]
-    everything = SitePercolationSpec(g, np.ones(5))
-    assert np.all(sample_site_percolation(everything, 3))
-
-
-def test_sample_open_fraction():
-    g = path_graph(10)
-    spec = SitePercolationSpec(g, np.full(10, 0.3))
-    total = 0
-    trials = 2000
-    for s in range(trials):
-        total += int(np.sum(sample_site_percolation(spec, s)))
-    frac = total / (trials * 10)
-    se = math.sqrt(0.3 * 0.7 / (trials * 10))
-    assert abs(frac - 0.3) <= 3 * se
-
-
 def test_spec_validation():
     g = path_graph(3)
     with pytest.raises(ValueError):
         SitePercolationSpec(g, np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        SitePercolationSpec(g, np.array([0.5, 1.5, 0.5]))
+    for bad in (1.5, -0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            SitePercolationSpec(g, np.array([0.5, bad, 0.5]))
     with pytest.raises(ValueError):
         SitePercolationSpec(g, np.zeros(3), frozenset({7}))
 
@@ -119,30 +100,104 @@ def reference_cluster(g, open_, sources):
     return reach
 
 
-def reference_connection_successes(spec, targets, trials, seed):
-    """Successes of `trials` one-at-a-time draws and searches."""
-    rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(trials):
-        open_ = rng.random(spec.graph.n) < spec.probabilities
-        open_[list(spec.boundary_open)] = True
-        hits += bool(reference_cluster(spec.graph, open_, spec.boundary_open) & set(targets))
-    return hits
+def replay_trial(g, p, sources, targets, uniform):
+    """One trial of the documented lazy search: the sources are open and
+    pushed in order; popping the last vertex pushed, each undecided neighbour
+    (in adjacency order) takes the next uniform and is open, and pushed, when
+    it lies below its probability.  Returns the decided sites (vertex -> open)
+    and whether the search stopped at an open target."""
+    decided = dict.fromkeys(sources, True)
+    stack = list(sources)
+    while stack:
+        for w in g.adjacency[stack.pop()]:
+            if w not in decided:
+                decided[w] = uniform() < p[w]
+                if decided[w]:
+                    if w in targets:
+                        return decided, True
+                    stack.append(w)
+    return decided, False
 
 
-def test_block_draws_equal_one_trial_at_a_time(rng, monkeypatch):
+def test_connection_probability_replays_lazy_search_stream(rng):
     n = 12
     g = random_connected_graph(n, rng, extra_edges=4)
     p = rng.uniform(0.3, 0.9, n)
-    monkeypatch.setattr(P, "_BLOCK_DRAWS", 5 * n + 3)  # rows = 5
-    rows = 5
     for boundary in (frozenset(), frozenset({0}), frozenset({0, 4, 9})):
         spec = SitePercolationSpec(g, p, boundary)
         targets = {1, 7, 11} - boundary
-        for trials in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+        for trials in (1, 4, 20):
             for seed in (0, 3):
+                uniform = random.Random(seed).random
+                hits = 0
+                for _ in range(trials):
+                    decided, hit = replay_trial(g, p, sorted(boundary), targets, uniform)
+                    opened = [decided.get(v, False) for v in range(n)]
+                    # the search stops at the first open target it meets, and
+                    # otherwise has decided the whole cluster and its rim
+                    assert hit == bool(reference_cluster(g, opened, boundary) & targets)
+                    hits += hit
                 est = connection_probability(spec, targets, trials, seed)
-                assert est.successes == reference_connection_successes(spec, targets, trials, seed)
+                assert est.successes == hits
+
+
+def exact_connection_probability(spec, targets):
+    """P(boundary_open <-> targets), summed over every open set of the other sites."""
+    n = spec.graph.n
+    others = [v for v in range(n) if v not in spec.boundary_open]
+    total = 0.0
+    for bits in itertools.product((False, True), repeat=len(others)):
+        open_ = [True] * n
+        weight = 1.0
+        for v, is_open in zip(others, bits):
+            open_[v] = is_open
+            weight *= spec.probabilities[v] if is_open else 1.0 - spec.probabilities[v]
+        if reference_cluster(spec.graph, open_, spec.boundary_open) & targets:
+            total += weight
+    return total
+
+
+def test_connection_probability_matches_exact_enumeration(rng):
+    trials = 4000
+    for i in range(8):
+        n = int(rng.integers(4, 11))
+        g = random_connected_graph(n, rng, extra_edges=int(rng.integers(0, 4)))
+        p = rng.uniform(0.0, 1.0, n)
+        boundary = frozenset(int(v) for v in rng.choice(n, int(rng.integers(1, 3)), replace=False))
+        rest = [v for v in range(n) if v not in boundary]
+        targets = set(rest[-int(rng.integers(1, 3)):])
+        spec = SitePercolationSpec(g, p, boundary)
+        exact = exact_connection_probability(spec, targets)
+        est = connection_probability(spec, targets, trials, seed=i)
+        assert abs(est.p_hat - exact) <= 5 * math.sqrt(exact * (1 - exact) / trials) + 1e-12
+
+
+class CountingRandom(random.Random):
+    draws = 0
+
+    def random(self):
+        CountingRandom.draws += 1
+        return super().random()
+
+
+def test_connection_probability_draws_one_uniform_per_touched_site(rng, monkeypatch):
+    # with probabilities 0 and 1 the cluster is known in advance; no target
+    # is reachable, so each trial touches the cluster and its closed rim
+    monkeypatch.setattr(P, "Random", CountingRandom)
+    for _ in range(10):
+        n = int(rng.integers(3, 30))
+        g = random_connected_graph(n, rng, extra_edges=int(rng.integers(0, n)))
+        p = rng.integers(0, 2, n).astype(float)
+        boundary = frozenset(int(v) for v in rng.choice(n, int(rng.integers(1, 3)), replace=False))
+        open_ = [p[v] == 1.0 or v in boundary for v in range(n)]
+        cluster = reference_cluster(g, open_, boundary)
+        touched = cluster.union(*(g.adjacency[v] for v in cluster)) - boundary
+        targets = {v for v in range(n) if v not in cluster}
+        trials = int(rng.integers(1, 5))
+        CountingRandom.draws = 0
+        est = connection_probability(SitePercolationSpec(g, p, boundary), targets, trials, seed=1)
+        assert est.successes == 0
+        assert CountingRandom.draws == trials * len(touched)
 
 
 def test_wilson_interval_basics():
@@ -297,14 +352,12 @@ def test_tv_domination_random_sweep(rng):
 
 
 def test_percolation_monotone_under_coupled_seeds():
+    # on the path from the source 0 the search decides site k with the k-th
+    # draw, so one seed couples lo and hi and the open sets nest
     g = path_graph(6)
     lo = SitePercolationSpec(g, np.full(6, 0.4), frozenset({0}))
     hi = SitePercolationSpec(g, np.full(6, 0.7), frozenset({0}))
     for s in range(200):
-        open_lo = sample_site_percolation(lo, s)
-        open_hi = sample_site_percolation(hi, s)
-        assert np.all(open_hi[open_lo])  # same uniforms: open sets nest
-        # one trial of connection_probability draws the same uniforms
         if connection_probability(lo, {5}, 1, s).successes:
             assert connection_probability(hi, {5}, 1, s).successes
 
@@ -329,10 +382,11 @@ def test_averaged_decay_equals_per_trial_breadth_first_search(rng):
     r = np.random.default_rng(seed)
     hits = {d: 0 for d in prof}
     for _ in range(trials):
-        h = r.normal(0.0, 0.5, 10)  # fields first, then the uniforms
-        p = np.array([influence_bound(g.degree(v), h[v], beta) for v in range(10)])
-        open_ = r.random(10) < p
-        for y in reference_cluster(g, open_, [x]) - {x}:
+        h = r.normal(0.0, 0.5, 10)  # fields first, then the search's uniforms
+        p = [influence_bound(g.degree(v), h[v], beta) for v in range(10)]
+        decided, _ = replay_trial(g, p, [x], set(), r.random)
+        opened = [decided.get(v, False) for v in range(10)]
+        for y in reference_cluster(g, opened, [x]) - {x}:
             hits[dist[y]] += 1
     assert {d: est.successes for d, est in prof.items()} == hits
 
