@@ -49,11 +49,6 @@ def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> list[int] | No
     return _chains(inst, steps, 1, seed, +1)[0]
 
 
-def run_chain(inst: IsingInstance, steps: int, seed: int, init_spin: int = +1) -> np.ndarray:
-    """Final configuration after `steps` Glauber updates (single chain)."""
-    return run_chains(inst, steps, 1, seed, init_spin)[0]
-
-
 def _conditional_table(inst: IsingInstance) -> tuple[list[float], list[int]]:
     """Every heat-bath conditional of the instance, O(n + m) entries.
 
@@ -83,8 +78,8 @@ def run_chains(
     does); the chosen vertex becomes +1 when the second lies below its
     conditional probability of +1, and -1 otherwise.  The result is
     deterministic given (seed, steps, n_chains), and chain i does not depend
-    on n_chains, so `run_chains(inst, s, k, seed)[0] == run_chain(inst, s,
-    seed)`, and that is `glauber_sample`'s chain when s is its step count.
+    on n_chains, so `run_chains(inst, s, k, seed)[0]` is `glauber_sample`'s
+    chain when s is its step count.
 
     An update costs O(deg x); memory is O(n + m + n_chains * n).
     """

@@ -326,10 +326,11 @@ def averaged_decay_profile(
 
     `field_sampler(rng)` returns one realization of the per-vertex fields,
     drawn from a numpy generator seeded with `seed`.  For each trial the site
-    probabilities are M(deg, h, beta), and `_cluster_hits` grows the open
-    cluster of x with the same generator's `random()`.  The estimate at
-    distance d averages the indicator of x <-> y over vertices y at distance
-    d and over trials.
+    probabilities are M(deg, h, beta); the same generator's `random()` then
+    decides x, which is open when that draw lies below p[x], and only an
+    open x has `_cluster_hits` grow its open cluster with further draws.
+    The estimate at distance d averages the indicator of x <-> y over
+    vertices y at distance d and over trials.
     """
     rng = np.random.default_rng(seed)
     dist = bfs_distances(g, x)
@@ -343,7 +344,8 @@ def averaged_decay_profile(
         h = np.asarray(field_sampler(rng), dtype=float)
         p = [influence_bound(g.degree(v), h[v], beta) for v in range(g.n)]
         state = bytearray(g.n)
-        _cluster_hits(g.adjacency, p, [x], nowhere, state, rng.random)
+        if rng.random() < p[x]:
+            _cluster_hits(g.adjacency, p, [x], nowhere, state, rng.random)
         for y, s in enumerate(state):
             if s == _OPEN and y != x:
                 hits[dist[y]] += 1

@@ -374,6 +374,17 @@ def test_averaged_decay_huge_fields_die_out():
     assert all(est.p_hat == 0.0 for d, est in prof.items() if d >= 1)
 
 
+def test_averaged_decay_closed_source_reaches_nothing():
+    # x never opens (M is 0.0 at |h| = 1000) while every other site is open
+    # with probability near 1, so no trial may count a connection from x
+    g = path_graph(6)
+    h = np.zeros(6)
+    h[0] = 1000.0
+    prof = P.averaged_decay_profile(g, lambda r: h, 3.0, 0, 200, seed=0)
+    assert sorted(prof) == [1, 2, 3, 4, 5]
+    assert all(est.successes == 0 for est in prof.values())
+
+
 def test_averaged_decay_equals_per_trial_breadth_first_search(rng):
     g = random_connected_graph(10, rng, extra_edges=3)
     x, beta, trials, seed = 2, 0.8, 300, 9
@@ -382,8 +393,10 @@ def test_averaged_decay_equals_per_trial_breadth_first_search(rng):
     r = np.random.default_rng(seed)
     hits = {d: 0 for d in prof}
     for _ in range(trials):
-        h = r.normal(0.0, 0.5, 10)  # fields first, then the search's uniforms
+        h = r.normal(0.0, 0.5, 10)  # fields, x's uniform, the search's uniforms
         p = [influence_bound(g.degree(v), h[v], beta) for v in range(10)]
+        if r.random() >= p[x]:
+            continue  # x closed: no search, no hits
         decided, _ = replay_trial(g, p, [x], set(), r.random)
         opened = [decided.get(v, False) for v in range(10)]
         for y in reference_cluster(g, opened, [x]) - {x}:
