@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 input error (a bad argument, or a malformed, missing
 or unreadable file, `--out` included), 2 rejection by `check` (certified error
 above eps, or its walks ran out of `sawtree.NODE_BUDGET` nodes), 3 no mixing
-guarantee from `glauber`, 4 certified error too large (`count` cannot certify
-its estimate at a forced `--depth`), or `sawtree.NODE_BUDGET` SAW-tree nodes
-walked by the tau schedule of `count` or `sample` without its error fitting
-eps, by a forced-depth pass or draw, or by `grow --saw-tree`.
+guarantee from `glauber` (the chain does not contract, or its certified step
+count is above `glauber.STEP_BUDGET`), 4 certified error too large (`count`
+cannot certify its estimate at a forced `--depth`), or `sawtree.NODE_BUDGET`
+SAW-tree nodes walked by the tau schedule of `count` or `sample` without its
+error fitting eps, by a forced-depth pass or draw, or by `grow --saw-tree`.
 
 A forced `--depth` gives no eps guarantee: `count` and `sample` only report
 their bound, and `count` exits 4 for its error only once a step's error

@@ -18,6 +18,10 @@ from .model import IsingInstance, check_eps, expit, influence_bound
 if TYPE_CHECKING:
     import numpy as np
 
+#: Most chain updates `glauber_sample` runs.  A certified step count above it
+#: is reported as no guarantee, as a chain that does not contract is.
+STEP_BUDGET = 10**8
+
 
 def conditional_plus_probability(inst: IsingInstance, config: np.ndarray, x: int) -> float:
     """Exact Gibbs conditional P(sigma_x = +1 | neighbor spins)."""
@@ -37,16 +41,17 @@ def mixing_time_bound(n: int, delta: int, beta: float, h_min: float, eps: float)
 
 def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> list[int] | None:
     """Run the chain from the all-(+1) start for the certified number of steps;
-    None when no mixing guarantee exists."""
+    None when no mixing guarantee exists or it needs more than STEP_BUDGET
+    steps."""
     check_eps(eps)
     free = inst.free_vertices
     if not free:
         return [inst.boundary[v] for v in range(inst.graph.n)]
     h_min = min(abs(float(inst.fields[v])) for v in free)
     steps = mixing_time_bound(inst.graph.n, max_degree(inst.graph), inst.beta, h_min, eps)
-    if steps is None:
+    if steps is None or steps > STEP_BUDGET:
         return None
-    return _chains(inst, steps, 1, seed, +1)[0]
+    return _chains(inst, steps, 1, seed)[0]
 
 
 def _conditional_table(inst: IsingInstance) -> tuple[list[float], list[int]]:
@@ -66,11 +71,9 @@ def _conditional_table(inst: IsingInstance) -> tuple[list[float], list[int]]:
     return table, centre
 
 
-def run_chains(
-    inst: IsingInstance, steps: int, n_chains: int, seed: int, init_spin: int = +1
-) -> np.ndarray:
+def run_chains(inst: IsingInstance, steps: int, n_chains: int, seed: int) -> np.ndarray:
     """Final configurations of `n_chains` independent heat-bath chains, each
-    started from `init_spin` on every free vertex and run for `steps` updates.
+    started from +1 on every free vertex and run for `steps` updates.
 
     The chains run one after another from one `random.Random(seed)`.  An
     update draws two uniforms: the first, u, picks the free vertex
@@ -85,21 +88,17 @@ def run_chains(
     """
     import numpy as np
 
-    return np.array(_chains(inst, steps, n_chains, seed, init_spin), dtype=int).reshape(
+    return np.array(_chains(inst, steps, n_chains, seed), dtype=int).reshape(
         n_chains, inst.graph.n)
 
 
-def _chains(
-    inst: IsingInstance, steps: int, n_chains: int, seed: int, init_spin: int
-) -> list[list[int]]:
+def _chains(inst: IsingInstance, steps: int, n_chains: int, seed: int) -> list[list[int]]:
     """`run_chains`' configurations as lists of spins."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if n_chains < 0:
         raise ValueError(f"n_chains must be >= 0, got {n_chains}")
-    if init_spin not in (-1, 1):
-        raise ValueError(f"init_spin must be +-1, got {init_spin}")
-    start = [init_spin] * inst.graph.n
+    start = [1] * inst.graph.n
     for v, s in inst.boundary.items():
         start[v] = s
     free = inst.free_vertices

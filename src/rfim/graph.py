@@ -85,39 +85,12 @@ def bfs_distances(g: Graph, source) -> list[int]:
     return dist
 
 
-def distance(g: Graph, u: int, v: int) -> int:
-    """BFS shortest-path length; UNREACHABLE if u and v are disconnected."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise IndexError("vertex index out of range")
-    return bfs_distances(g, u)[v]
-
-
 def sphere(g: Graph, v: int, ell: int) -> set[int]:
     """Vertices at distance exactly ell from v."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
     dist = bfs_distances(g, v)
     return {w for w in range(g.n) if dist[w] == ell}
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = []
-        q = deque([start])
-        seen[start] = True
-        while q:
-            u = q.popleft()
-            comp.append(u)
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    q.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def to_json_dict(g: Graph) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
@@ -90,7 +91,8 @@ class IsingInstance:
     `fields` is any length-n sequence of finite reals (a list, a tuple, an
     `array.array`, a numpy array), stored as given: an instance built from
     a numpy array keeps that array.  `boundary` maps a subset of vertices to fixed spins in
-    {-1, +1}.
+    {-1, +1}, each a Python or numpy integer: not a bool and not a float,
+    which the chains could not use as spins.
     """
 
     graph: Graph
@@ -118,8 +120,12 @@ class IsingInstance:
         for v, s in self.boundary.items():
             if not 0 <= v < self.graph.n:
                 raise ValueError(f"boundary vertex {v} out of range")
-            if s not in (-1, 1):
-                raise ValueError(f"boundary spin at {v} must be +-1, got {s}")
+            try:  # operator.index takes numpy integers, not floats
+                ok = not isinstance(s, bool) and operator.index(s) in (-1, 1)
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"boundary spin at {v} must be +-1, got {s!r}")
 
     @property
     def free_vertices(self) -> list[int]:
@@ -301,9 +307,6 @@ def from_json_dict(obj: dict, base_dir: str = ".") -> IsingInstance:
     if not (graphmod.is_int(beta) or isinstance(beta, float)):
         raise ValueError(f"beta must be a number, got {beta!r}")
     boundary = {vertex_key(v): s for v, s in obj.get("boundary", {}).items()}
-    for v, s in boundary.items():
-        if not graphmod.is_int(s):
-            raise ValueError(f"boundary spin at {v} must be +-1, got {s!r}")
     # an array("d") holds 8 bytes per field, as a numpy array would; a list
     # of floats holds about 32
     return IsingInstance(g, float(beta), array("d", fields), boundary)

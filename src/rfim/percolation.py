@@ -21,6 +21,9 @@ from .model import (
 #: z-score for the 99.7% Wilson intervals used in all Monte Carlo reports.
 WILSON_Z = 3.0
 
+#: Most free vertices whose conditionals a coupled exploration enumerates.
+EXPLORATION_MAX_FREE = 20
+
 
 @dataclass(frozen=True)
 class SitePercolationSpec:
@@ -58,9 +61,10 @@ class Estimate:
         return math.sqrt(max(self.p_hat * (1.0 - self.p_hat), 0.0) / self.trials)
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> Estimate:
+def wilson_interval(successes: int, trials: int) -> Estimate:
     if trials <= 0:
         raise ValueError("trials must be > 0")
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -165,7 +169,6 @@ def coupled_exploration(
     eta: dict[int, int],
     xi: dict[int, int],
     seed: int,
-    max_free: int = 20,
 ) -> CouplingTranscript:
     """Maximal coupling of the Gibbs measures under boundary conditions eta
     and xi, revealed by the exploration process of the disagreement-percolation
@@ -176,7 +179,7 @@ def coupled_exploration(
     unexplored region, so the per-site disagreement probability is the true
     conditional difference.
     """
-    return _explore(inst, eta, xi, np.random.default_rng(seed), {}, max_free)
+    return _explore(inst, eta, xi, np.random.default_rng(seed), {})
 
 
 def _explore(
@@ -185,13 +188,12 @@ def _explore(
     xi: dict[int, int],
     rng: np.random.Generator,
     memo: dict,
-    max_free: int,
 ) -> CouplingTranscript:
     """One coupled exploration drawing from `rng`; `memo` caches conditional
     marginals by (site, revealed spins) across explorations and sides."""
     g = inst.graph
     _check_boundary_pair(inst, eta, xi)
-    if len(inst.free_vertices) > max_free:
+    if len(inst.free_vertices) > EXPLORATION_MAX_FREE:
         raise ValueError("instance too large for exact conditionals")
 
     unconditioned = replace(inst, boundary={})
@@ -215,7 +217,8 @@ def _explore(
             key = (x, tuple(sorted(sigma[i].items())))
             p = memo.get(key)
             if p is None:
-                p = exact_marginal(unconditioned, x, extra=sigma[i], max_free=max_free)
+                p = exact_marginal(unconditioned, x, extra=sigma[i],
+                                   max_free=EXPLORATION_MAX_FREE)
                 memo[key] = p
             ps.append(p)
         for i in (0, 1):
@@ -236,11 +239,10 @@ def coupled_exploration_sweep(
     xi: dict[int, int],
     trials: int,
     seed: int,
-    max_free: int = 20,
 ):
     """Repeat the coupled exploration from one generator seeded with `seed`,
     sharing the conditional-marginal memo; trial 1 is
-    `coupled_exploration(inst, eta, xi, seed, max_free)`.
+    `coupled_exploration(inst, eta, xi, seed)`.
 
     Returns (per-vertex disagreement frequency, per-vertex +1 frequency for
     side a, same for side b), each an array over vertices.
@@ -254,7 +256,7 @@ def coupled_exploration_sweep(
     plus_a = np.zeros(n)
     plus_b = np.zeros(n)
     for _ in range(trials):
-        t = _explore(inst, eta, xi, rng, memo, max_free)
+        t = _explore(inst, eta, xi, rng, memo)
         s_count += t.disagreement
         plus_a += t.sigma_a == 1
         plus_b += t.sigma_b == 1

@@ -9,7 +9,6 @@ algorithm is versioned in output metadata; changing it is a format bump.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -25,13 +24,12 @@ GENERATOR_VERSION = "pcg64-ndtri-1"
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """IID field distribution: gaussian(variance) or two_point(+-h with
-    weights)."""
+    """IID field distribution: gaussian(variance) or two_point (+h or -h,
+    each with probability 1/2)."""
 
     kind: str  # "gaussian" | "two_point"
     variance: float = 0.0
     magnitude: float = 0.0
-    weights: tuple[float, float] = (0.5, 0.5)
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "two_point"):
@@ -40,8 +38,6 @@ class FieldSpec:
             raise ValueError("variance and magnitude must be finite")
         if self.kind == "gaussian" and self.variance < 0:
             raise ValueError("variance must be >= 0")
-        if self.kind == "two_point" and not math.isclose(sum(self.weights), 1.0):
-            raise ValueError("weights must sum to 1")
 
 
 def gen_er_graph(n: int, delta: float, seed: int) -> Graph:
@@ -74,7 +70,7 @@ def gen_fields(n: int, spec: FieldSpec, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if spec.kind == "gaussian":
         return gaussian_from_uniform(rng.random(n), spec.variance)
-    sign = np.where(rng.random(n) < spec.weights[0], 1.0, -1.0)
+    sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     return sign * spec.magnitude
 
 
@@ -84,21 +80,13 @@ def fields_to_json_dict(h: np.ndarray, spec: FieldSpec, seed: int) -> dict:
         spec_obj["variance"] = spec.variance
     elif spec.kind == "two_point":
         spec_obj["magnitude"] = spec.magnitude
-        spec_obj["weights"] = list(spec.weights)
+        spec_obj["weights"] = [0.5, 0.5]
     return {
         "format": FIELDS_FORMAT,
         "h": [float(x) for x in h],
         "spec": spec_obj,
         "seed": seed,
     }
-
-
-def load_fields(path: str) -> np.ndarray:
-    with open(path) as f:
-        obj = json.load(f)
-    if obj.get("format") != FIELDS_FORMAT:
-        raise ValueError(f"expected format {FIELDS_FORMAT!r}")
-    return np.array(obj["h"], dtype=float)
 
 
 def neighborhood_growth(

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graph import Graph
 from .model import IsingInstance, expit, influence_bound
 
 
@@ -261,7 +260,6 @@ class CertificateReport:
 
 
 def build_saw_tree(
-    g: Graph,
     inst: IsingInstance,
     root: int,
     cut_depth: int | None = None,
@@ -278,6 +276,7 @@ def build_saw_tree(
     `frontier_spin` may be +1, -1, or None (leave the frontier free); frontier
     leaves are tagged so error accounting can find them.
     """
+    g = inst.graph
     if not 0 <= root < g.n:
         raise IndexError(f"root {root} out of range")
     if cut_depth is not None and cut_depth < 0:

@@ -70,7 +70,7 @@ def test_criterion_01_saw_tree_exactness():
     for _ in range(500):
         inst = random_instance(rng, 3, 10)
         for v in inst.free_vertices:
-            tree = build_saw_tree(inst.graph, inst, v)
+            tree = build_saw_tree(inst, v)
             gap = abs(root_marginal(tree, inst.beta) - exact_marginal(inst, v))
             worst = max(worst, gap)
     assert worst <= 1e-10
@@ -245,8 +245,8 @@ def test_criterion_08_decay_rate_envelope():
         inst = IsingInstance(g, beta, h)
         pts = []
         for ell in range(1, 9):
-            plus = build_saw_tree(g, inst, 0, cut_depth=ell, frontier_spin=+1)
-            minus = build_saw_tree(g, inst, 0, cut_depth=ell, frontier_spin=-1)
+            plus = build_saw_tree(inst, 0, cut_depth=ell, frontier_spin=+1)
+            minus = build_saw_tree(inst, 0, cut_depth=ell, frontier_spin=-1)
             d = abs(root_marginal(plus, beta) - root_marginal(minus, beta))
             if d > 0.0:
                 pts.append((ell, math.log(d)))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from array import array
 
@@ -16,7 +17,7 @@ from rfim.glauber import (
     run_chains,
 )
 from rfim.graph import Graph
-from rfim.model import IsingInstance, exact_marginal, exact_region_law
+from rfim.model import IsingInstance, exact_marginal, exact_region_law, influence_bound
 
 from conftest import random_connected_graph
 
@@ -57,11 +58,11 @@ def test_step_examples():
     finals = run_chains(lone, 1, 2000, seed=5)
     assert abs(np.mean(finals[:, 0] == 1) - 0.5) < 0.05
 
-    # strong coupling with +1 neighbors pins the update
+    # strong coupling with -1 neighbors pins the update against the +1 start
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    inst = IsingInstance(star, 30.0, np.zeros(4), {1: 1, 2: 1, 3: 1})
-    assert conditional_plus_probability(inst, np.array([1, 1, 1, 1]), 0) == pytest.approx(1.0)
-    assert np.all(run_chains(inst, 20, 50, seed=5, init_spin=-1) == 1)
+    inst = IsingInstance(star, 30.0, np.zeros(4), {1: -1, 2: -1, 3: -1})
+    assert conditional_plus_probability(inst, np.array([1, -1, -1, -1]), 0) == pytest.approx(0.0)
+    assert np.all(run_chains(inst, 20, 50, seed=5) == -1)
 
 
 def test_all_fixed_returns_boundary():
@@ -89,6 +90,21 @@ def test_no_guarantee_honesty():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     inst = IsingInstance(g, 2.0, np.zeros(4))
     assert glauber_sample(inst, 0.1, 0) is None
+
+
+def test_glauber_sample_past_step_budget_gives_no_guarantee():
+    # C6, beta 0.5, every |h| just above the field where 2 M(2, h, 0.5) = 1:
+    # the chain contracts, but certifies only after about 4.2e10 updates
+    lo, hi = 0.0, 5.0
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if 2 * influence_bound(2, mid, 0.5) >= 1 else (lo, mid)
+    h = hi + 1e-9
+    assert mixing_time_bound(6, 2, 0.5, h, 0.01) > GL.STEP_BUDGET
+    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    start = time.perf_counter()
+    assert glauber_sample(IsingInstance(c6, 0.5, [h, -h] * 3), 0.01, 0) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_glauber_sample_same_on_list_array_and_ndarray_fields():
@@ -155,7 +171,7 @@ def test_run_chains_respects_boundary():
 
 def test_run_chains_rejects_bad_arguments():
     inst = IsingInstance(TRIANGLE, 0.5, np.zeros(3))
-    for kwargs in ({"steps": -5}, {"n_chains": -1}, {"init_spin": 0}, {"init_spin": 7}):
+    for kwargs in ({"steps": -5}, {"n_chains": -1}):
         args = {"steps": 10, "n_chains": 2, "seed": 0, **kwargs}
         with pytest.raises(ValueError):
             run_chains(inst, **args)
@@ -175,14 +191,14 @@ def test_run_chains_matches_reference_replay(rng):
     for _ in range(5):
         n = int(rng.integers(2, 9))
         g = random_connected_graph(n, rng)
-        inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n), {0: 1})
+        inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n), {0: -1})
         steps, chains, seed = 30, 3, int(rng.integers(1000))
-        got = run_chains(inst, steps, chains, seed, init_spin=-1)
+        got = run_chains(inst, steps, chains, seed)
         ref_rng = random.Random(seed)
         free = inst.free_vertices
         for c in range(chains):
-            config = np.full(n, -1)
-            config[0] = 1
+            config = np.full(n, 1)
+            config[0] = -1
             for _ in range(steps):
                 x = ref_rng.choices(free)[0]
                 u = ref_rng.random()

@@ -19,12 +19,12 @@ def test_max_degree_examples():
 
 def test_distance_examples():
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert G.distance(path, 0, 2) == 2
-    assert G.distance(path, 1, 1) == 0
+    assert G.bfs_distances(path, 0) == [0, 1, 2]
+    assert G.bfs_distances(path, 1)[1] == 0
     two = Graph.from_edges(2, [])
-    assert G.distance(two, 0, 1) == UNREACHABLE
+    assert G.bfs_distances(two, 0)[1] == UNREACHABLE
     with pytest.raises(IndexError):
-        G.distance(path, 0, 5)
+        G.bfs_distances(path, 5)
 
 
 def test_sphere_examples():
@@ -38,9 +38,10 @@ def test_sphere_examples():
 def test_distance_symmetry_and_sphere_partition(rng):
     for _ in range(20):
         g = random_connected_graph(int(rng.integers(2, 12)), rng)
+        dist = [G.bfs_distances(g, u) for u in range(g.n)]
         for u in range(g.n):
             for v in range(g.n):
-                assert G.distance(g, u, v) == G.distance(g, v, u)
+                assert dist[u][v] == dist[v][u]
         v = int(rng.integers(g.n))
         seen = set()
         for ell in range(g.n):
@@ -78,8 +79,3 @@ def test_adjacency_sorted(rng):
     g = random_connected_graph(10, rng, extra_edges=5)
     for nbrs in g.adjacency:
         assert list(nbrs) == sorted(nbrs)
-
-
-def test_connected_components():
-    g = Graph.from_edges(5, [(0, 1), (3, 4)])
-    assert G.connected_components(g) == [[0, 1], [2], [3, 4]]

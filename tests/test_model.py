@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rfim import model as M
+from rfim.glauber import glauber_sample
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_marginal, exact_partition, hamiltonian, influence_bound
 
@@ -340,6 +341,15 @@ def test_instance_validation():
         IsingInstance(g, 1.0, np.zeros(2), {5: 1})
     with pytest.raises(ValueError):
         IsingInstance(g, 1.0, np.zeros(2), {0: 2})
+
+
+def test_boundary_spins_are_integers():
+    path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for bad in (True, False, 1.0, -1.0, np.float64(1.0), np.bool_(True), "1", None, 2, np.int64(0)):
+        with pytest.raises(ValueError, match="boundary spin at 0"):
+            IsingInstance(path3, 0.1, [4.0] * 3, {0: bad, 2: 1})
+    inst = IsingInstance(path3, 0.1, [4.0] * 3, {0: np.int64(1), 2: np.int8(-1)})
+    assert glauber_sample(inst, 0.1, 0) in ([1, s, -1] for s in (-1, 1))
 
 
 def test_instance_fields_any_finite_sequence_stored_as_given():

@@ -12,7 +12,6 @@ from rfim.randgen import (
     FieldSpec,
     gen_er_graph,
     gen_fields,
-    load_fields,
     neighborhood_growth,
 )
 from rfim.sawtree import build_saw_tree
@@ -100,19 +99,25 @@ def test_fields_gaussian_small_ball_bound():
 
 
 def test_fields_two_point():
-    spec = FieldSpec("two_point", magnitude=1.5, weights=(0.7, 0.3))
+    spec = FieldSpec("two_point", magnitude=1.5)
     h = gen_fields(20000, spec, seed=5)
     assert set(np.unique(h)) == {-1.5, 1.5}
     frac = np.mean(h > 0)
-    assert abs(frac - 0.7) <= 3 * math.sqrt(0.21 / 20000)
+    assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / 20000)
 
 
 def test_fields_file_round_trip(tmp_path):
     h = np.array([0.5, -1.0, 2.5])
-    obj = R.fields_to_json_dict(h, FieldSpec("gaussian", variance=1.0), seed=9)
-    path = tmp_path / "h.json"
-    path.write_text(json.dumps(obj))
-    assert np.array_equal(load_fields(str(path)), h)
+    for spec, params in [
+        (FieldSpec("gaussian", variance=1.0), {"variance": 1.0}),
+        (FieldSpec("two_point", magnitude=2.0), {"magnitude": 2.0, "weights": [0.5, 0.5]}),
+    ]:
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(R.fields_to_json_dict(h, spec, seed=9)))
+        obj = json.loads(path.read_text())
+        assert obj["format"] == R.FIELDS_FORMAT and obj["seed"] == 9
+        assert obj["spec"] == {"kind": spec.kind, "generator": R.GENERATOR_VERSION, **params}
+        assert np.array_equal(np.array(obj["h"]), h)
 
 
 def test_field_spec_validation():
@@ -120,8 +125,6 @@ def test_field_spec_validation():
         FieldSpec("exotic")
     with pytest.raises(ValueError):
         FieldSpec("gaussian", variance=-1.0)
-    with pytest.raises(ValueError):
-        FieldSpec("two_point", magnitude=1.0, weights=(0.7, 0.7))
 
 
 def test_growth_path():
@@ -167,7 +170,7 @@ def test_saw_levels_match_tree_depths(rng):
         g = random_connected_graph(n, rng, extra_edges=4)
         v = int(rng.integers(n))
         ell = int(rng.integers(1, n + 2))
-        tree = build_saw_tree(g, IsingInstance(g, 0.0, np.zeros(n)), v, cut_depth=ell)
+        tree = build_saw_tree(IsingInstance(g, 0.0, np.zeros(n)), v, cut_depth=ell)
         depths = [0] * (ell + 1)
         stack = [tree.root]
         while stack:

@@ -49,19 +49,19 @@ def collect(node):
 
 def test_tree_graph_gives_isomorphic_tree(rng):
     g = random_connected_graph(8, rng, extra_edges=0)  # spanning tree only
-    tree = build_saw_tree(g, zero_inst(g), 2)
+    tree = build_saw_tree(zero_inst(g), 2)
     assert tree.node_count == g.n
     assert all(n.fixed_spin is None for n in collect(tree.root))
 
 
 def test_triangle_structure_golden():
-    tree = build_saw_tree(TRIANGLE, zero_inst(TRIANGLE), 0)
+    tree = build_saw_tree(zero_inst(TRIANGLE), 0)
     assert tree.node_count == 7
     assert dump(tree) == TRIANGLE_DUMP
 
 
 def test_four_cycle_structure():
-    tree = build_saw_tree(FOUR_CYCLE, zero_inst(FOUR_CYCLE), 0)
+    tree = build_saw_tree(zero_inst(FOUR_CYCLE), 0)
     assert tree.node_count == 9
     leaves = [n for n in collect(tree.root) if n.fixed_spin is not None]
     assert len(leaves) == 2
@@ -72,7 +72,7 @@ def test_four_cycle_structure():
 def test_self_avoidance_structural(rng):
     for _ in range(10):
         g = random_connected_graph(int(rng.integers(4, 9)), rng, extra_edges=3)
-        tree = build_saw_tree(g, zero_inst(g), 0)
+        tree = build_saw_tree(zero_inst(g), 0)
 
         def walk(node, path):
             if node.fixed_spin is None:
@@ -85,7 +85,7 @@ def test_self_avoidance_structural(rng):
 
 def test_boundary_vertices_become_fixed_leaves():
     inst = IsingInstance(FOUR_CYCLE, 1.0, np.zeros(4), {2: -1})
-    tree = build_saw_tree(FOUR_CYCLE, inst, 0)
+    tree = build_saw_tree(inst, 0)
     for n in collect(tree.root):
         if n.graph_vertex == 2:
             assert n.fixed_spin == -1
@@ -96,12 +96,12 @@ def test_root_marginal_leaf_cases():
     lone = Graph.from_edges(1, [])
     for h in (0.0, 0.7, -2.0):
         inst = IsingInstance(lone, 1.0, np.array([h]))
-        tree = build_saw_tree(lone, inst, 0)
+        tree = build_saw_tree(inst, 0)
         assert root_marginal(tree, 1.0) == pytest.approx(1 / (1 + math.exp(-2 * h)), abs=1e-14)
     edge = Graph.from_edges(2, [(0, 1)])
     beta, h = 0.9, 0.3
     inst = IsingInstance(edge, beta, np.array([h, 0.0]), {1: 1})
-    tree = build_saw_tree(edge, inst, 0)
+    tree = build_saw_tree(inst, 0)
     assert root_marginal(tree, beta) == pytest.approx(
         1 / (1 + math.exp(-2 * h - 2 * beta)), abs=1e-14
     )
@@ -109,7 +109,7 @@ def test_root_marginal_leaf_cases():
 
 def test_root_marginal_triangle_matches_oracle():
     inst = IsingInstance(TRIANGLE, 0.8, np.array([0.1, -0.4, 0.7]))
-    tree = build_saw_tree(TRIANGLE, inst, 0)
+    tree = build_saw_tree(inst, 0)
     assert root_marginal(tree, 0.8) == pytest.approx(exact_marginal(inst, 0), abs=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_root_marginal_equals_graph_marginal(rng):
         }
         inst = IsingInstance(g, beta, h, boundary)
         for v in inst.free_vertices:
-            tree = build_saw_tree(g, inst, v)
+            tree = build_saw_tree(inst, v)
             assert root_marginal(tree, beta) == pytest.approx(
                 exact_marginal(inst, v), abs=1e-10
             )
@@ -135,7 +135,7 @@ def test_root_marginal_equals_graph_marginal(rng):
 def test_root_marginal_stable_under_huge_fields():
     edge = Graph.from_edges(2, [(0, 1)])
     inst = IsingInstance(edge, 1.0, np.array([650.0, -700.0]))
-    tree = build_saw_tree(edge, inst, 0)
+    tree = build_saw_tree(inst, 0)
     p = root_marginal(tree, 1.0)
     assert p == pytest.approx(1.0)
 
@@ -143,13 +143,13 @@ def test_root_marginal_stable_under_huge_fields():
 def test_truncation_error_examples():
     path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     inst = zero_inst(path4)
-    full = build_saw_tree(path4, inst, 0, cut_depth=10)
+    full = build_saw_tree(inst, 0, cut_depth=10)
     assert certified_truncation_error(full, 1.0) == 0.0
 
-    cold = build_saw_tree(path4, zero_inst(path4, beta=0.0), 0, cut_depth=2)
+    cold = build_saw_tree(zero_inst(path4, beta=0.0), 0, cut_depth=2)
     assert certified_truncation_error(cold, 0.0) == 0.0
 
-    cut = build_saw_tree(path4, inst, 0, cut_depth=2)
+    cut = build_saw_tree(inst, 0, cut_depth=2)
     expected = influence_bound(1, 0, 1) * influence_bound(2, 0, 1)
     assert certified_truncation_error(cut, 1.0) == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(math.tanh(1.0) * math.tanh(2.0), abs=1e-12)
@@ -164,7 +164,7 @@ def test_truncation_error_monotone_on_paths(rng):
         beta = float(rng.uniform(-1.5, 1.5))
         inst = IsingInstance(g, beta, rng.uniform(-1, 1, n))
         errs = [
-            certified_truncation_error(build_saw_tree(g, inst, 0, cut_depth=d), beta)
+            certified_truncation_error(build_saw_tree(inst, 0, cut_depth=d), beta)
             for d in range(1, n + 1)
         ]
         assert all(a >= b - 1e-14 for a, b in zip(errs, errs[1:]))
@@ -180,8 +180,8 @@ def test_frontier_bracketing(rng):
         beta = float(rng.uniform(-1.5, 1.5))
         inst = IsingInstance(g, beta, rng.uniform(-2, 2, n))
         cut = int(rng.integers(1, 4))
-        plus = build_saw_tree(g, inst, 0, cut, frontier_spin=+1)
-        minus = build_saw_tree(g, inst, 0, cut, frontier_spin=-1)
+        plus = build_saw_tree(inst, 0, cut, frontier_spin=+1)
+        minus = build_saw_tree(inst, 0, cut, frontier_spin=-1)
         gap = abs(root_marginal(plus, beta) - root_marginal(minus, beta))
         assert gap <= certified_truncation_error(plus, beta) + 1e-12
 
@@ -189,7 +189,7 @@ def test_frontier_bracketing(rng):
 def test_free_frontier_policy():
     path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
     inst = zero_inst(path3)
-    tree = build_saw_tree(path3, inst, 0, cut_depth=1, frontier_spin=None)
+    tree = build_saw_tree(inst, 0, cut_depth=1, frontier_spin=None)
     # frontier node is free: marginal reduces to the cut two-vertex system
     sub = IsingInstance(Graph.from_edges(2, [(0, 1)]), 1.0, np.zeros(2))
     assert root_marginal(tree, 1.0) == pytest.approx(exact_marginal(sub, 0), abs=1e-12)
@@ -198,7 +198,7 @@ def test_free_frontier_policy():
 def test_ssm_certificate_accepts_uniformly_large_fields():
     g = FOUR_CYCLE
     inst = IsingInstance(g, 0.5, np.full(4, 4.0))
-    tree = build_saw_tree(g, inst, 0, cut_depth=2)
+    tree = build_saw_tree(inst, 0, cut_depth=2)
     rep = ssm_certificate(tree, h0=4.0, beta=0.5, delta=2)
     assert rep.influence_ok and rep.paths_ok and rep.accepted
     assert rep.rate is not None and rep.rate > 0
@@ -207,7 +207,7 @@ def test_ssm_certificate_accepts_uniformly_large_fields():
 def test_ssm_certificate_rejects_zero_fields():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     inst = IsingInstance(g, 2.0, np.zeros(4))
-    tree = build_saw_tree(g, inst, 0, cut_depth=1)
+    tree = build_saw_tree(inst, 0, cut_depth=1)
     rep = ssm_certificate(tree, h0=0.0, beta=2.0, delta=3)
     assert not rep.accepted
     assert not rep.influence_ok
@@ -222,7 +222,7 @@ def test_ssm_certificate_half_rule():
     h = np.full(7, 5.0)
     h[0] = 0.0  # one low-field vertex on every root-to-leaf path
     inst = IsingInstance(g, 0.3, h)
-    tree = build_saw_tree(g, inst, 0, cut_depth=2)
+    tree = build_saw_tree(inst, 0, cut_depth=2)
     rep = ssm_certificate(tree, h0=5.0, beta=0.3, delta=3)
     assert rep.influence_ok
     assert rep.paths_ok  # 1 of 2 free path vertices is large: exactly half
@@ -234,7 +234,7 @@ def test_deep_path_no_recursion_limit():
     n = 600
     g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     inst = zero_inst(g, beta=0.5)
-    tree = build_saw_tree(g, inst, 0)
+    tree = build_saw_tree(inst, 0)
     assert tree.node_count == n
     assert 0.0 < root_marginal(tree, 0.5) < 1.0
 
@@ -242,7 +242,7 @@ def test_deep_path_no_recursion_limit():
 def assert_walk_matches_tree(inst, root, cut, h0):
     """The walker's one pass equals the reference tree's separate passes."""
     g, beta = inst.graph, inst.beta
-    tree = build_saw_tree(g, inst, root, cut)
+    tree = build_saw_tree(inst, root, cut)
     res = SawWalker(inst, h0).walk(root, inst.boundary, cut)
     expected = root_log_odds(tree, beta)
     if math.isinf(expected):
@@ -302,8 +302,8 @@ def prune_reference(inst, root, tau, cut=None):
     deepest expanded level.  Evaluated with `root_log_odds` and
     `certified_truncation_error`, it is the oracle for
     `SawWalker.walk(..., cut, tau)`."""
-    g, beta = inst.graph, inst.beta
-    tree = build_saw_tree(g, inst, root, cut)
+    beta = inst.beta
+    tree = build_saw_tree(inst, root, cut)
     count, deepest = 1, 0
     stack = [(tree.root, 1.0)]  # expanded free nodes
     while stack:
