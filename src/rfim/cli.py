@@ -24,16 +24,16 @@ Re-running the same manifest reproduces the output byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 
 from . import __version__
-# percolation and randgen import numpy at module level, so each cmd_* that
-# uses one imports it itself: count, check, sample and glauber load no numpy
-from . import counting, graph as graphmod, model, sawtree
+# every subcommand needs graph and model; each cmd_* imports its own layer
+# itself, so a run loads only that layer: count, check and sample load no
+# numpy (percolation and randgen import it), and glauber no SAW layer
+from . import graph as graphmod, model
 
 FORMATS = [
     "rfim-graph-v1",
@@ -114,9 +114,15 @@ def cmd_gen_graph(args) -> tuple[dict, int]:
 def cmd_gen_fields(args) -> tuple[dict, int]:
     from . import randgen
 
-    spec = randgen.FieldSpec(
-        kind=args.kind, variance=args.variance, magnitude=args.magnitude
-    )
+    # the kind's own option defaults to 1.0 and the other one is an error,
+    # so the manifest records only what the run used
+    used, unused = (("variance", "magnitude") if args.kind == "gaussian"
+                    else ("magnitude", "variance"))
+    if getattr(args, unused) is not None:
+        raise ValueError(f"--{unused} does not apply to --kind {args.kind}")
+    if getattr(args, used) is None:
+        setattr(args, used, 1.0)
+    spec = randgen.FieldSpec(args.kind, **{used: getattr(args, used)})
     h = randgen.gen_fields(args.n, spec, args.seed)
     return randgen.fields_to_json_dict(h, spec, args.seed), EXIT_OK
 
@@ -127,6 +133,8 @@ def cmd_exact(args) -> tuple[dict, int]:
 
 
 def cmd_count(args) -> tuple[dict, int]:
+    from . import counting
+
     inst = _read("instance", args.instance, model.load)
     depth = _parse_depth(args.depth)
     res = counting.approx_partition(inst, args.eps, depth_override=depth)
@@ -144,6 +152,8 @@ def cmd_count(args) -> tuple[dict, int]:
 
 
 def cmd_sample(args) -> tuple[dict, int]:
+    from . import counting
+
     inst = _read("instance", args.instance, model.load)
     depth = _parse_depth(args.depth)
     res = counting.approx_sample(inst, args.eps, args.seed, depth_override=depth)
@@ -167,10 +177,12 @@ def cmd_glauber(args) -> tuple[dict, int]:
 
 
 def cmd_check(args) -> tuple[dict, int]:
+    from . import counting
+
     inst = _read("instance", args.instance, model.load)
     report = counting.check_instance(inst, args.eps, h0=args.h0)
     obj = {k: "inf" if isinstance(x, float) and not math.isfinite(x) else x
-           for k, x in dataclasses.asdict(report).items()}
+           for k, x in vars(report).items()}
     return obj, EXIT_OK if report.accepted else EXIT_REJECTED
 
 
@@ -248,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("gen-fields", cmd_gen_fields)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=["gaussian", "two_point"], default="gaussian")
-    p.add_argument("--variance", type=float, default=1.0)
-    p.add_argument("--magnitude", type=float, default=1.0)
+    p.add_argument("--variance", type=float, default=None)
+    p.add_argument("--magnitude", type=float, default=None)
     p.add_argument("--seed", type=_seed, default=0)
 
     p = add("exact", cmd_exact)
@@ -305,7 +317,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except (ValueError, OSError) as e:  # bad input or files; EnumerationTooLarge included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (counting.CertifiedErrorTooLarge, sawtree.NodeBudgetExhausted) as e:
+    except model.CertificationFailed as e:  # CertifiedErrorTooLarge, NodeBudgetExhausted
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR_TOO_LARGE
     return code

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import max_degree
-from .model import IsingInstance, check_eps, hamiltonian
+from .model import CertificationFailed, IsingInstance, check_eps, hamiltonian
 from .sawtree import CertificateReport, NodeBudgetExhausted, SawWalker, rate_constant
 
 # Unused here; kept importable because the perfbench tracer wraps these names
@@ -39,13 +38,12 @@ STEP_ERROR_LIMIT = 0.25
 TAU_STEP = 100.0
 
 
-class CertifiedErrorTooLarge(RuntimeError):
+class CertifiedErrorTooLarge(CertificationFailed):
     """A per-step certified error reached 1/4 at a forced depth, or the tau
     schedule ran out of its node budget before its certified error fit."""
 
 
-@dataclass
-class CountResult:
+class CountResult(NamedTuple):
     log_z_estimate: float
     per_vertex_certified_error: list[float]
     total_certified_relative_error: float
@@ -54,8 +52,7 @@ class CountResult:
     tau: float | None  # influence threshold of the kept pass; None when forced
 
 
-@dataclass
-class SampleResult:
+class SampleResult(NamedTuple):
     config: list[int]
     depth_used: int | None  # as in CountResult, for the certification pass
     per_vertex_certified_error: list[float]

@@ -129,10 +129,12 @@ def coupled_drift_estimate(
     Each trial starts two chains at a random pair of configurations differing
     at one random free vertex, applies one coupled update (same vertex, same
     uniform variate), and records the change in Hamming distance.  Returns
-    (mean change, standard error).
+    (mean change, standard error); the standard error needs two trials.
     """
     import numpy as np
 
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
     rng = np.random.default_rng(seed)
     free = inst.free_vertices
     if not free:

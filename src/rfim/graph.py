@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 GRAPH_FORMAT = "rfim-graph-v1"
 
@@ -21,8 +21,7 @@ class GraphFormatError(ValueError):
     """Raised when a graph file violates the rfim-graph-v1 contract."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable simple graph; adjacency lists sorted ascending."""
 
     n: int

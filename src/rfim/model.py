@@ -17,7 +17,6 @@ import json
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Sequence
 
 from . import graph as graphmod
@@ -84,41 +83,59 @@ class IncompleteConfiguration(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IsingInstance:
+class CertificationFailed(RuntimeError):
+    """A run stopped before certifying its result: its certified error is
+    too large, or its SAW walks ran out of their node budget (CLI exit 4)."""
+
+
+class Frozen:
+    """Base of the records that validate their values: `__init__` sets the
+    attributes once, through `__dict__`, and they are never assigned again."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IsingInstance(Frozen):
     """Graph + inverse temperature + per-vertex fields + partial boundary.
 
     `fields` is any length-n sequence of finite reals (a list, a tuple, an
     `array.array`, a numpy array), stored as given: an instance built from
     a numpy array keeps that array.  `boundary` maps a subset of vertices to fixed spins in
     {-1, +1}, each a Python or numpy integer: not a bool and not a float,
-    which the chains could not use as spins.
+    which the chains could not use as spins; it defaults to a new empty dict.
     """
 
-    graph: Graph
-    beta: float
-    fields: Sequence[float]
-    boundary: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        n = self.graph.n
+    def __init__(
+        self,
+        graph: Graph,
+        beta: float,
+        fields: Sequence[float],
+        boundary: dict[int, int] | None = None,
+    ):
+        if boundary is None:
+            boundary = {}
+        n = graph.n
         try:
-            size = len(self.fields)
+            size = len(fields)
         except TypeError:
             size = None
         if size != n:
             raise ValueError(f"fields must have one entry per vertex (got {size} for {n})")
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
-        for v, x in enumerate(self.fields):
+        if not math.isfinite(beta):
+            raise ValueError(f"beta must be finite, got {beta}")
+        for v, x in enumerate(fields):
             try:
                 ok = math.isfinite(x)
             except TypeError:
                 ok = False
             if not ok:
                 raise ValueError(f"field at vertex {v} must be finite, got {x!r}")
-        for v, s in self.boundary.items():
-            if not 0 <= v < self.graph.n:
+        for v, s in boundary.items():
+            if not 0 <= v < n:
                 raise ValueError(f"boundary vertex {v} out of range")
             try:  # operator.index takes numpy integers, not floats
                 ok = not isinstance(s, bool) and operator.index(s) in (-1, 1)
@@ -126,6 +143,7 @@ class IsingInstance:
                 ok = False
             if not ok:
                 raise ValueError(f"boundary spin at {v} must be +-1, got {s!r}")
+        self.__dict__.update(graph=graph, beta=beta, fields=fields, boundary=boundary)
 
     @property
     def free_vertices(self) -> list[int]:
@@ -137,7 +155,7 @@ class IsingInstance:
             if v in merged and merged[v] != s:
                 raise ValueError(f"conflicting spin for vertex {v}")
             merged[v] = s
-        return replace(self, boundary=merged)
+        return IsingInstance(self.graph, self.beta, self.fields, merged)
 
 
 def hamiltonian(inst: IsingInstance, spins: Sequence[int]) -> float:

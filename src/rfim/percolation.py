@@ -5,13 +5,14 @@ domination and averaged-decay experiments."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from random import Random
+from typing import NamedTuple
 
 import numpy as np
 
 from .graph import Graph, bfs_distances, UNREACHABLE
 from .model import (
+    Frozen,
     IsingInstance,
     exact_marginal,
     exact_region_law,
@@ -25,29 +26,29 @@ WILSON_Z = 3.0
 EXPLORATION_MAX_FREE = 20
 
 
-@dataclass(frozen=True)
-class SitePercolationSpec:
+class SitePercolationSpec(Frozen):
     """Graph with per-vertex open probabilities; `boundary_open` vertices are
-    open with probability one (closed boundary vertices get probability 0)."""
+    open with probability one (closed boundary vertices get probability 0).
+    `probabilities` is stored as a float array."""
 
-    graph: Graph
-    probabilities: np.ndarray
-    boundary_open: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        if p.shape != (self.graph.n,):
+    def __init__(
+        self,
+        graph: Graph,
+        probabilities: np.ndarray,
+        boundary_open: frozenset[int] = frozenset(),
+    ):
+        p = np.asarray(probabilities, dtype=float)
+        if p.shape != (graph.n,):
             raise ValueError("one probability per vertex required")
         if not np.all((p >= 0) & (p <= 1)):  # False for NaN as well
             raise ValueError("probabilities must lie in [0,1]")
-        object.__setattr__(self, "probabilities", p)
-        for v in self.boundary_open:
-            if not 0 <= v < self.graph.n:
+        for v in boundary_open:
+            if not 0 <= v < graph.n:
                 raise ValueError(f"boundary vertex {v} out of range")
+        self.__dict__.update(graph=graph, probabilities=p, boundary_open=boundary_open)
 
 
-@dataclass
-class Estimate:
+class Estimate(NamedTuple):
     """Bernoulli Monte Carlo estimate with a Wilson confidence interval."""
 
     p_hat: float
@@ -141,8 +142,7 @@ def connection_probability(
     return wilson_interval(hits, trials)
 
 
-@dataclass
-class CouplingTranscript:
+class CouplingTranscript(NamedTuple):
     sigma_a: np.ndarray
     sigma_b: np.ndarray
     disagreement: np.ndarray
@@ -196,7 +196,7 @@ def _explore(
     if len(inst.free_vertices) > EXPLORATION_MAX_FREE:
         raise ValueError("instance too large for exact conditionals")
 
-    unconditioned = replace(inst, boundary={})
+    unconditioned = IsingInstance(inst.graph, inst.beta, inst.fields)
     sigma = {0: dict(eta), 1: dict(xi)}
     S = np.zeros(g.n, dtype=int)
     for v in inst.boundary:
@@ -263,8 +263,7 @@ def coupled_exploration_sweep(
     return s_count / trials, plus_a / trials, plus_b / trials
 
 
-@dataclass
-class DominationReport:
+class DominationReport(NamedTuple):
     tv_exact: float
     percolation: Estimate
     holds: bool
@@ -277,7 +276,7 @@ def exact_tv_on_region(
     spins on `region` under boundary conditions eta and xi, which must
     assign exactly the boundary vertices."""
     _check_boundary_pair(inst, eta, xi)
-    base = replace(inst, boundary={})
+    base = IsingInstance(inst.graph, inst.beta, inst.fields)
     law_a = exact_region_law(base.with_extra_boundary(eta), region)
     law_b = exact_region_law(base.with_extra_boundary(xi), region)
     keys = set(law_a) | set(law_b)

@@ -10,34 +10,29 @@ algorithm is versioned in output metadata; changing it is a format bump.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, bfs_distances
-from .model import IsingInstance
+from .model import Frozen, IsingInstance
 from .sawtree import SawWalker
 
 FIELDS_FORMAT = "rfim-fields-v1"
 GENERATOR_VERSION = "pcg64-ndtri-1"
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Frozen):
     """IID field distribution: gaussian(variance) or two_point (+h or -h,
     each with probability 1/2)."""
 
-    kind: str  # "gaussian" | "two_point"
-    variance: float = 0.0
-    magnitude: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "two_point"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if not (math.isfinite(self.variance) and math.isfinite(self.magnitude)):
+    def __init__(self, kind: str, variance: float = 0.0, magnitude: float = 0.0):
+        if kind not in ("gaussian", "two_point"):
+            raise ValueError(f"unknown field kind {kind!r}")
+        if not (math.isfinite(variance) and math.isfinite(magnitude)):
             raise ValueError("variance and magnitude must be finite")
-        if self.kind == "gaussian" and self.variance < 0:
+        if kind == "gaussian" and variance < 0:
             raise ValueError("variance must be >= 0")
+        self.__dict__.update(kind=kind, variance=variance, magnitude=magnitude)
 
 
 def gen_er_graph(n: int, delta: float, seed: int) -> Graph:

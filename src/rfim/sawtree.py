@@ -18,10 +18,9 @@ walker is tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .model import IsingInstance, expit, influence_bound
+from .model import CertificationFailed, IsingInstance, expit, influence_bound
 
 
 def _child_term(x: float, b2: float) -> float:
@@ -38,7 +37,7 @@ def _child_term(x: float, b2: float) -> float:
 NODE_BUDGET = 10**7
 
 
-class NodeBudgetExhausted(RuntimeError):
+class NodeBudgetExhausted(CertificationFailed):
     """A walk would expand a node after its walker walked NODE_BUDGET nodes."""
 
     def __init__(self, nodes: int):
@@ -212,28 +211,36 @@ class SawWalker:
         return SawWalk(acc, min(total, 1.0), count, paths_ok, deepest + 1)
 
 
-@dataclass
 class SawNode:
-    graph_vertex: int
-    field: float
-    depth: int
-    fixed_spin: int | None = None
-    frontier: bool = False
-    children: list["SawNode"] = field(default_factory=list)
+    __slots__ = ("graph_vertex", "field", "depth", "fixed_spin", "frontier", "children")
+
+    def __init__(
+        self,
+        graph_vertex: int,
+        field: float,
+        depth: int,
+        fixed_spin: int | None = None,
+        frontier: bool = False,
+        children: list[SawNode] | None = None,
+    ):
+        self.graph_vertex = graph_vertex
+        self.field = field
+        self.depth = depth
+        self.fixed_spin = fixed_spin
+        self.frontier = frontier
+        self.children = [] if children is None else children
 
     def tree_degree(self) -> int:
         """Degree of the node within the tree (parent counts unless root)."""
         return len(self.children) + (0 if self.depth == 0 else 1)
 
 
-@dataclass
-class SawTree:
+class SawTree(NamedTuple):
     root: SawNode
     cut_depth: int | None  # None = untruncated
     node_count: int
 
 
-@dataclass
 class CertificateReport:
     """Outcome of the strong-spatial-mixing certificate check.
 
@@ -244,19 +251,33 @@ class CertificateReport:
     whole-instance checker and stay None for a single tree.  The checker's
     frontier is the uniform cut at `depth` together with the influence
     threshold `tau`; its `paths_ok` is read on that walked frontier, and
-    `nodes` counts the walker nodes it walked.
+    `nodes` counts the walker nodes it walked.  Its attributes are exactly
+    these ten fields, so `vars(report)` is the report.
     """
 
-    influence_ok: bool
-    paths_ok: bool
-    rate: float | None
-    h0: float
-    accepted: bool = False
-    reason: str = ""
-    certified_rel_err: float | None = None
-    depth: int | None = None
-    tau: float | None = None
-    nodes: int | None = None
+    def __init__(
+        self,
+        influence_ok: bool,
+        paths_ok: bool,
+        rate: float | None,
+        h0: float,
+        accepted: bool = False,
+        reason: str = "",
+        certified_rel_err: float | None = None,
+        depth: int | None = None,
+        tau: float | None = None,
+        nodes: int | None = None,
+    ):
+        self.influence_ok = influence_ok
+        self.paths_ok = paths_ok
+        self.rate = rate
+        self.h0 = h0
+        self.accepted = accepted
+        self.reason = reason
+        self.certified_rel_err = certified_rel_err
+        self.depth = depth
+        self.tau = tau
+        self.nodes = nodes
 
 
 def build_saw_tree(

@@ -1,9 +1,9 @@
 import ast
-import dataclasses
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from rfim import graph as G
 from rfim import model as M
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_partition
-from rfim.sawtree import CertificateReport
 
 
 def run_cli(*args):
@@ -82,7 +81,8 @@ def test_check_exit_codes(tmp_path):
     assert obj["accepted"] is True
     # the output is the report, field for field
     del obj["manifest"]
-    assert set(obj) == {f.name for f in dataclasses.fields(CertificateReport)}
+    assert set(obj) == {"influence_ok", "paths_ok", "rate", "h0", "accepted", "reason",
+                        "certified_rel_err", "depth", "tau", "nodes"}
 
 
 def test_glauber_exit_codes(tmp_path):
@@ -123,7 +123,9 @@ def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
     # every subcommand but gen-fields (Gaussian draws through ndtri) runs
     # without scipy, and count, check, sample and glauber run without numpy
     # as well; the warm instance has a mixing guarantee, so glauber runs a
-    # chain (perc loads numpy for the exact enumeration of its region law)
+    # chain (perc loads numpy for the exact enumeration of its region law).
+    # Only count, check and sample load the counting layer, glauber loads no
+    # SAW layer, and none of the four loads dataclasses or inspect
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     path = tmp_path / "warm.json"
     M.save(IsingInstance(g, 0.1, np.array([3.0, -2.5, 4.0, 3.5])), str(path))
@@ -147,9 +149,12 @@ def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["manifest"]["subcommand"] == sub
         modules = ast.literal_eval(res.stderr.splitlines()[-1])
-        assert "rfim.counting" in modules
+        assert ("rfim.counting" in modules) == (sub in ("count", "check", "sample")), sub
         assert ("numpy" in modules) == (sub not in ("count", "check", "sample", "glauber")), sub
+        if sub in ("count", "check", "sample", "glauber"):
+            assert "dataclasses" not in modules and "inspect" not in modules, sub
         if sub == "glauber":
+            assert "rfim.sawtree" not in modules
             assert len(json.loads(res.stdout)["config"]) == 4
         scipy_modules = [m for m in modules if m.startswith("scipy")]
         if sub == "gen-fields":
@@ -172,6 +177,23 @@ def test_glauber_without_guarantee_loads_no_numpy(tmp_path):
     modules = ast.literal_eval(res.stderr.splitlines()[-1])
     assert "rfim.glauber" in modules
     assert [m for m in modules if m.startswith(("numpy", "scipy"))] == []
+    for name in ("rfim.counting", "rfim.sawtree", "dataclasses", "inspect"):
+        assert name not in modules, name
+
+
+def test_rfim_imports_no_dataclasses():
+    src = Path(__file__).resolve().parents[1] / "src" / "rfim"
+    paths = sorted(src.glob("*.py"))
+    assert len(paths) >= 9
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
 
 
 def test_import_cli_loads_no_numpy():
@@ -263,9 +285,10 @@ def test_non_finite_arguments_exit_one(triangle_instance):
     res = run_cli("sample", "--instance", path, "--h0", "1")
     assert res.returncode == 1
     assert res.stdout == "" and "--h0" in res.stderr
-    for arg in ("--variance=nan", "--variance=inf", "--variance=-inf", "--magnitude=nan"):
-        res = run_cli("gen-fields", "--n", "4", arg)
-        assert res.returncode == 1, arg
+    for args in (["--variance=nan"], ["--variance=inf"], ["--variance=-inf"],
+                 ["--kind=two_point", "--magnitude=nan"]):
+        res = run_cli("gen-fields", "--n", "4", *args)
+        assert res.returncode == 1, args
         assert res.stdout == ""
         assert "error:" in res.stderr and "finite" in res.stderr
 
@@ -413,6 +436,23 @@ def test_gen_fields_output(tmp_path):
 
     h = json.loads(out.read_text())["h"]
     assert h == gen_fields(5, FieldSpec("gaussian", variance=4.0), 2).tolist()
+
+
+def test_gen_fields_rejects_the_other_kinds_option():
+    for kind, own, other in (("gaussian", "--variance", "--magnitude"),
+                             ("two_point", "--magnitude", "--variance")):
+        res = run_cli("gen-fields", "--n", "4", "--seed", "1", "--kind", kind, other, "9")
+        assert res.returncode == 1, kind
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and other in lines[0], res.stderr
+        # the manifest records the kind's own option, at its default 1.0,
+        # and nothing else
+        default = json.loads(run_cli("gen-fields", "--n", "4", "--seed", "1", "--kind", kind).stdout)
+        given = json.loads(run_cli("gen-fields", "--n", "4", "--seed", "1", "--kind", kind,
+                                   own, "1.0").stdout)
+        assert default == given
+        assert default["manifest"]["params"] == {"kind": kind, "n": 4, "seed": 1, own[2:]: 1.0}
 
 
 def test_perc_subcommand(tmp_path):

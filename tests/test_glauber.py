@@ -228,3 +228,13 @@ def test_coupled_drift_contracts_under_large_fields(rng):
     inst = IsingInstance(g, beta, h)
     mean, se = coupled_drift_estimate(inst, 10000, seed=1)
     assert mean <= 3 * se
+
+
+def test_coupled_drift_needs_two_trials():
+    # the standard error of one trial, or of none, is not a number
+    inst = IsingInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), 0.5, [0.1, 0.2, 0.3])
+    for trials in (-1, 0, 1):
+        with pytest.raises(ValueError, match="trials"):
+            coupled_drift_estimate(inst, trials, seed=0)
+    mean, se = coupled_drift_estimate(inst, 2, seed=0)
+    assert math.isfinite(mean) and math.isfinite(se)

@@ -333,6 +333,23 @@ def test_instance_json_round_trip(tmp_path, rng):
     assert inst2.boundary == inst.boundary
 
 
+def test_records_are_immutable():
+    from rfim.percolation import SitePercolationSpec
+    from rfim.randgen import FieldSpec
+
+    g = Graph.from_edges(2, [(0, 1)])
+    for record, name, value in (
+        (g, "n", 3),
+        (IsingInstance(g, 1.0, np.zeros(2)), "beta", 2.0),
+        (FieldSpec("gaussian", variance=2.0), "variance", 3.0),
+        (SitePercolationSpec(g, np.full(2, 0.5)), "boundary_open", frozenset({0})),
+    ):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        assert getattr(record, name) == before
+
+
 def test_instance_validation():
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(ValueError):
