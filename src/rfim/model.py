@@ -1,13 +1,13 @@
-"""The Ising measure: Hamiltonian, brute-force oracles, and the influence
-function bounding how far a vertex's conditional marginal can swing.
+"""The Ising measure: Hamiltonian, exact oracles, and the influence function
+bounding how far a vertex's conditional marginal can swing.
 
 All partition values are carried in log space; large Gaussian fields make
-e^{2h} overflow in linear space.  The instance, the Hamiltonian and the
-influence function are pure Python; numpy is imported only inside the exact
-kernel (`_logsumexp`, `_log_weights`, `_region_log_z`, `exact_region_law`),
-so `rfim count` and `rfim check` load no numpy.  `expit` and `_logsumexp`
-reproduce scipy's functions bit for bit, so no subcommand but `gen-fields`
-(whose Gaussian draws use `scipy.special.ndtri`) loads scipy.
+e^{2h} overflow in linear space.  The module is pure Python.  The exact
+oracles sum the free spins out by frontier elimination (`_plan`,
+`_region_log_z`) on flat lists of log-weights, so `rfim exact` and
+`rfim perc` load no numpy, like `count`, `check`, `sample` and `glauber`.
+`expit` reproduces scipy's function bit for bit, so no subcommand but
+`gen-fields` (whose Gaussian draws use `scipy.special.ndtri`) loads scipy.
 """
 
 from __future__ import annotations
@@ -17,20 +17,21 @@ import json
 import math
 import operator
 from array import array
-from typing import TYPE_CHECKING, Sequence
+from math import exp, log1p
+from typing import Sequence
 
 from . import graph as graphmod
 from .graph import Graph
 
-if TYPE_CHECKING:
-    import numpy as np
-
 INSTANCE_FORMAT = "rfim-instance-v1"
 
-#: Largest number of free vertices the exact oracles will enumerate by default.
+#: Largest number of free vertices the exact oracles accept by default.  Their
+#: cost grows as 2^(frontier width), not 2^(free count): a sparse graph at the
+#: cap is fast, a complete graph near it takes seconds.
 DEFAULT_ENUMERATION_CAP = 24
 
-#: The exact oracles sum out at most this many free vertices in one table.
+#: Widest table, in free vertices, that the exact oracles build (or the
+#: region's size, if larger); a wider plan is split by conditioning.
 _TABLE_BITS = 16
 
 
@@ -44,30 +45,6 @@ def expit(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     except OverflowError:
         return 0.0
-
-
-def _logsumexp(a: np.ndarray, axis: int | None = None):
-    """log(sum(exp(a))) along `axis` (over all of `a` for None).
-
-    scipy 1.17's algorithm for real input, so the two agree bit for bit: the
-    entries equal to the maximum are counted (m) and left out of the shifted
-    sum s, and the result is log1p(s/m) + log(m) + max.  Where that is not
-    finite (an all -inf row, an inf entry) the direct log(sum(exp(a))) is
-    taken instead, which gives -inf for an all -inf row.
-    """
-    import numpy as np
-
-    axes = tuple(range(a.ndim)) if axis is None else axis
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        top = np.max(a, axis=axes, keepdims=True)
-        at_top = a == top
-        m = np.sum(at_top, axis=axes, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=axes, keepdims=True)
-        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + top
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))[bad]
-    return np.squeeze(out, axis=axes)[()]
 
 
 def check_eps(eps: float) -> None:
@@ -172,55 +149,103 @@ def hamiltonian(inst: IsingInstance, spins: Sequence[int]) -> float:
     return float(-(inst.beta * pair + math.fsum(h * x for h, x in zip(inst.fields, s))))
 
 
-def _log_weights(inst: IsingInstance, order: list[int]) -> np.ndarray:
-    """-H for every configuration of the free vertices in `order`, as an
-    array of shape (2,)*k: axis i belongs to order[i], index 0 meaning spin
-    -1 and index 1 spin +1.  Every vertex not in `order` must be fixed.
+def _plan(inst: IsingInstance, region: list[int]) -> tuple[list[tuple[int, list[int]]], int]:
+    """The order in which `_region_log_z` adds the free vertices, and the
+    widest table that order builds, in bits.
 
-    The table starts as the scalar of all-fixed terms and grows one axis per
-    vertex: the j-th vertex's local field (its h, beta times its fixed
-    neighbours' spins, and beta times the broadcast +-1 of its neighbours on
-    axes < j) is added with sign -1 and +1 along the new axis, so the work
-    is about 2^(k+1) additions, not (n + m) * 2^k.
+    Each step adds the vertex that leaves the smallest frontier, ties going
+    to the lower index, and lists the vertices summed out right after it:
+    those outside `region` none of whose free neighbours is left to add.
     """
-    import numpy as np
-
-    axis = {v: i for i, v in enumerate(order)}
-    adjacency, beta, fixed = inst.graph.adjacency, inst.beta, inst.boundary
-    h = [float(x) for x in inst.fields]
-    const = 0.0
-    for v, s in fixed.items():
-        const += s * (h[v] + beta * sum(fixed[w] for w in adjacency[v] if w > v and w in fixed))
-    table = np.array(const)
-    pm = np.array([-1.0, 1.0])
-    for j, v in enumerate(order):
-        local = h[v] + beta * sum(fixed[w] for w in adjacency[v] if w in fixed)
+    adjacency, fixed, keep = inst.graph.adjacency, inst.boundary, set(region)
+    todo = inst.free_vertices
+    left = {v: sum(w not in fixed for w in adjacency[v]) for v in todo}
+    live: set[int] = set()
+    steps, width = [], 0
+    while todo:
+        best = None
+        for v in todo:
+            done = [u for u in adjacency[v] if u in live and left[u] == 1 and u not in keep]
+            if left[v] == 0 and v not in keep:
+                done.append(v)
+            if best is None or len(done) > len(best[1]):
+                best = v, done
+        v, done = best
+        todo.remove(v)
         for w in adjacency[v]:
-            if w in axis and axis[w] < j:
-                shape = [1] * j
-                shape[axis[w]] = 2
-                local = local + beta * pm.reshape(shape)
-        table = table[..., None] + np.multiply.outer(local, pm)
-    return table
+            if w in left:
+                left[w] -= 1
+        width = max(width, len(live) + 1)
+        live.add(v)
+        live.difference_update(done)
+        steps.append(best)
+    return steps, width
 
 
-def _region_log_z(inst: IsingInstance, region: list[int]) -> np.ndarray:
+def _log_add(lo: list[float], hi: list[float]) -> list[float]:
+    """log(e^a + e^b) for each pair of entries."""
+    return [a + log1p(exp(b - a)) if a > b else b + log1p(exp(a - b)) for a, b in zip(lo, hi)]
+
+
+def _sum_out(table: list[float], s: int) -> list[float]:
+    """Sum the spin at index bit `s` (a power of two) out of a log-weight
+    table: entry i with that bit clear is log-added to entry i + s."""
+    step = 2 * s
+    if len(table) // step <= s:  # few blocks of 2s entries: add their halves
+        out = []
+        for b in range(0, len(table), step):
+            out += _log_add(table[b:b + s], table[b + s:b + step])
+        return out
+    out = [0.0] * (len(table) // 2)
+    for o in range(s):
+        out[o::s] = _log_add(table[o::step], table[o + s::step])
+    return out
+
+
+def _region_log_z(inst: IsingInstance, region: list[int]) -> list[float]:
     """log Z with the (free, distinct) vertices of `region` fixed, for each of
     their 2^r configurations in itertools.product((-1, 1), repeat=r) order.
 
-    The other free vertices are summed out of a table of at most
-    2^max(_TABLE_BITS, r) entries; beyond that, the last of them is fixed to
-    -1 and to +1 in turn and the two halves are added in log space.
+    Frontier elimination: the free vertices are added in `_plan`'s order to
+    a flat table of log-weights, one index bit per vertex in the table (bit
+    j for the j-th oldest, spin -1 for a clear bit), and a vertex outside
+    the region is summed out as soon as none of its free neighbours is left
+    to add.  The cost is about 2^width per step for the widest table of the
+    plan.  When that width exceeds max(_TABLE_BITS, r), the last free vertex
+    outside the region is fixed to -1 and to +1 in turn and the two halves
+    are added in log space.
     """
-    import numpy as np
-
     in_region = set(region)
     others = [v for v in inst.free_vertices if v not in in_region]
-    if others and len(region) + len(others) > _TABLE_BITS:
+    steps, width = _plan(inst, region)
+    if others and width > max(_TABLE_BITS, len(region)):
         halves = [_region_log_z(inst.with_extra_boundary({others[-1]: s}), region) for s in (-1, 1)]
-        return np.logaddexp(*halves)
-    table = _log_weights(inst, region + others)
-    return _logsumexp(table.reshape(1 << len(region), -1), axis=1)
+        return _log_add(*halves)
+    adjacency, beta, fixed, h = inst.graph.adjacency, float(inst.beta), inst.boundary, inst.fields
+    const = 0.0
+    for v, s in fixed.items():
+        const += s * (h[v] + beta * sum(fixed[w] for w in adjacency[v] if w > v and w in fixed))
+    table, frontier = [float(const)], []
+    for v, done in steps:
+        # v's local field (h_v and beta times its neighbours' spins) for
+        # every entry, built one bit at a time like the table itself
+        local = [float(h[v]) + beta * sum(fixed[w] for w in adjacency[v] if w in fixed)]
+        for u in frontier:
+            if u in adjacency[v]:
+                local = [x - beta for x in local] + [x + beta for x in local]
+            else:
+                local *= 2
+        table = [t - x for t, x in zip(table, local)] + [t + x for t, x in zip(table, local)]
+        frontier.append(v)
+        for u in done:
+            table = _sum_out(table, 1 << frontier.index(u))
+            frontier.remove(u)
+    # the frontier now holds the region; region[0] becomes the top bit
+    index = [0]
+    for u in reversed(region):
+        bit = 1 << frontier.index(u)
+        index += [i + bit for i in index]
+    return [table[i] for i in index]
 
 
 def _check_cap(n_free: int, max_free: int) -> None:
@@ -229,9 +254,9 @@ def _check_cap(n_free: int, max_free: int) -> None:
 
 
 def exact_partition(inst: IsingInstance, max_free: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """log Z by exhaustive enumeration over the free spins (the test oracle)."""
+    """log Z summed exactly over the free spins (the test oracle)."""
     _check_cap(len(inst.free_vertices), max_free)
-    return float(_region_log_z(inst, [])[0])
+    return _region_log_z(inst, [])[0]
 
 
 def exact_marginal(
@@ -240,7 +265,7 @@ def exact_marginal(
     extra: dict[int, int] | None = None,
     max_free: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
-    """Exact P(sigma_v = +1 | boundary, extra) by enumeration."""
+    """Exact P(sigma_v = +1 | boundary, extra), summed over the other free spins."""
     cond = inst.with_extra_boundary(extra or {})
     if v in cond.boundary:
         raise ValueError(f"vertex {v} is fixed by the conditioning")
@@ -258,8 +283,6 @@ def exact_region_law(
 ) -> dict[tuple[int, ...], float]:
     """Exact joint law of the spins on `region` (distinct free vertices), as
     a dict from spin tuples to probabilities."""
-    import numpy as np
-
     free = inst.free_vertices
     _check_cap(len(free), max_free)
     for v in region:
@@ -268,8 +291,10 @@ def exact_region_law(
     if len(set(region)) != len(region):
         raise ValueError(f"region {list(region)} repeats a vertex")
     log_z = _region_log_z(inst, list(region))
-    prob = np.exp(log_z - _logsumexp(log_z))
-    return dict(zip(itertools.product((-1, 1), repeat=len(region)), prob.tolist()))
+    top = max(log_z)
+    weights = [exp(x - top) for x in log_z]
+    total = math.fsum(weights)
+    return dict(zip(itertools.product((-1, 1), repeat=len(region)), [w / total for w in weights]))
 
 
 def influence_bound(delta: float, h: float, beta: float) -> float:

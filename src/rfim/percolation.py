@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .graph import Graph, bfs_distances, UNREACHABLE
 from .model import (
@@ -18,6 +16,9 @@ from .model import (
     exact_region_law,
     influence_bound,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: z-score for the 99.7% Wilson intervals used in all Monte Carlo reports.
 WILSON_Z = 3.0
@@ -29,18 +30,18 @@ EXPLORATION_MAX_FREE = 20
 class SitePercolationSpec(Frozen):
     """Graph with per-vertex open probabilities; `boundary_open` vertices are
     open with probability one (closed boundary vertices get probability 0).
-    `probabilities` is stored as a float array."""
+    `probabilities` is stored as a list of floats."""
 
     def __init__(
         self,
         graph: Graph,
-        probabilities: np.ndarray,
+        probabilities: Sequence[float],
         boundary_open: frozenset[int] = frozenset(),
     ):
-        p = np.asarray(probabilities, dtype=float)
-        if p.shape != (graph.n,):
+        p = [float(x) for x in probabilities]
+        if len(p) != graph.n:
             raise ValueError("one probability per vertex required")
-        if not np.all((p >= 0) & (p <= 1)):  # False for NaN as well
+        if not all(0.0 <= x <= 1.0 for x in p):  # False for NaN as well
             raise ValueError("probabilities must lie in [0,1]")
         for v in boundary_open:
             if not 0 <= v < graph.n:
@@ -76,11 +77,9 @@ def wilson_interval(successes: int, trials: int) -> Estimate:
     return Estimate(p, low, high, trials, successes)
 
 
-def influence_probabilities(inst: IsingInstance) -> np.ndarray:
+def influence_probabilities(inst: IsingInstance) -> list[float]:
     """Default site probabilities p_x = M(deg(x), h_x, beta)."""
-    return np.array(
-        [influence_bound(inst.graph.degree(x), inst.fields[x], inst.beta) for x in range(inst.graph.n)]
-    )
+    return [influence_bound(inst.graph.degree(x), inst.fields[x], inst.beta) for x in range(inst.graph.n)]
 
 
 _OPEN, _CLOSED = 1, 2  # per-trial site states; 0 is undecided
@@ -135,7 +134,7 @@ def connection_probability(
     if trials <= 0:
         raise ValueError("trials must be > 0")
     draw = Random(seed).random
-    p, sources = spec.probabilities.tolist(), sorted(spec.boundary_open)
+    p, sources = spec.probabilities, sorted(spec.boundary_open)
     hits = 0
     for _ in range(trials):
         hits += _cluster_hits(spec.graph.adjacency, p, sources, target, bytearray(n), draw)
@@ -179,6 +178,8 @@ def coupled_exploration(
     unexplored region, so the per-site disagreement probability is the true
     conditional difference.
     """
+    import numpy as np
+
     return _explore(inst, eta, xi, np.random.default_rng(seed), {})
 
 
@@ -191,6 +192,8 @@ def _explore(
 ) -> CouplingTranscript:
     """One coupled exploration drawing from `rng`; `memo` caches conditional
     marginals by (site, revealed spins) across explorations and sides."""
+    import numpy as np
+
     g = inst.graph
     _check_boundary_pair(inst, eta, xi)
     if len(inst.free_vertices) > EXPLORATION_MAX_FREE:
@@ -247,6 +250,8 @@ def coupled_exploration_sweep(
     Returns (per-vertex disagreement frequency, per-vertex +1 frequency for
     side a, same for side b), each an array over vertices.
     """
+    import numpy as np
+
     if trials <= 0:
         raise ValueError("trials must be > 0")
     rng = np.random.default_rng(seed)
@@ -333,6 +338,8 @@ def averaged_decay_profile(
     The estimate at distance d averages the indicator of x <-> y over
     vertices y at distance d and over trials.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     dist = bfs_distances(g, x)
     sizes: dict[int, int] = {}

@@ -79,13 +79,34 @@ def test_exact_partition_beta_zero_factorizes(rng):
     assert exact_partition(inst) == pytest.approx(expected, abs=1e-10)
 
 
-def test_exact_partition_matches_linear_space_oracle(rng):
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
-        g = random_connected_graph(n, rng)
-        boundary = {0: 1} if rng.random() < 0.5 else {}
-        inst = IsingInstance(g, float(rng.uniform(-2, 2)), rng.uniform(-2, 2, n), boundary)
-        assert exact_partition(inst) == pytest.approx(brute_log_z(inst), abs=1e-10)
+def test_exact_partition_matches_linear_space_oracle(rng, monkeypatch):
+    # the frontier elimination against direct sums over every configuration:
+    # log Z, the joint law of a region of 0-3 vertices (in a random order, so
+    # the table's bits are reordered) and a conditional marginal; with
+    # _TABLE_BITS 2 the wider plans are split by conditioning
+    for table_bits in (M._TABLE_BITS, 2):
+        monkeypatch.setattr(M, "_TABLE_BITS", table_bits)
+        for i in range(16):
+            n = int(rng.integers(2, 8))
+            g = random_connected_graph(n, rng, extra_edges=int(rng.integers(0, 5)))
+            boundary = [{}, {0: 1}, {0: 1, n - 1: -1}][i % 3]
+            beta = float(rng.uniform(0.1, 2)) * (-1) ** i
+            inst = IsingInstance(g, beta, rng.uniform(-2, 2, n), boundary)
+            log_z = brute_log_z(inst)
+            assert exact_partition(inst) == pytest.approx(log_z, abs=1e-10)
+            free = inst.free_vertices
+            region = [int(v) for v in rng.permutation(free)[:i % 4]]
+            law = M.exact_region_law(inst, region)
+            assert list(law) == list(itertools.product((-1, 1), repeat=len(region)))
+            for key, p in law.items():
+                fixed = inst.with_extra_boundary(dict(zip(region, key)))
+                assert p == pytest.approx(math.exp(brute_log_z(fixed) - log_z), abs=1e-12)
+            if region:
+                v, extra = region[0], {u: 1 for u in region[1:]}
+                cond = inst.with_extra_boundary(extra)
+                plus = brute_log_z(cond.with_extra_boundary({v: 1}))
+                expected = 1 / (1 + math.exp(brute_log_z(cond.with_extra_boundary({v: -1})) - plus))
+                assert exact_marginal(inst, v, extra) == pytest.approx(expected, abs=1e-12)
 
 
 def test_exact_partition_cap():
@@ -175,50 +196,6 @@ def test_expit_equals_scipy_bit_for_bit():
     assert ours.view(np.int64).tolist() == scipy_expit(grid).view(np.int64).tolist()
 
 
-def test_logsumexp_equals_scipy_bit_for_bit():
-    from scipy.special import logsumexp as scipy_logsumexp
-
-    rng = np.random.default_rng(11)
-    tables = []
-    for i in range(600):
-        a = rng.normal(0.0, 10.0, (int(rng.integers(1, 9)), int(rng.integers(1, 301))))
-        tables.append(np.round(a) if i % 3 == 0 else a)  # rounding makes maxima tie
-    tables += [np.array([[2.5]]), np.full((3, 4), 1.25), np.array([[-np.inf, 0.0, -np.inf]])]
-    special = rng.normal(size=(6, 5))
-    special[0] = -np.inf
-    special[1, 2] = np.inf
-    special[2, :2] = -np.inf
-    special[3, [0, 4]] = [np.inf, -np.inf]
-    tables += [special, np.full((2, 3), -np.inf)]
-    for a in tables:
-        for axis in (1, None):
-            ours = np.asarray(M._logsumexp(a, axis=axis))
-            theirs = np.asarray(scipy_logsumexp(a, axis=axis))
-            assert ours.shape == theirs.shape
-            assert ours.view(np.int64).tolist() == theirs.view(np.int64).tolist()
-    assert M._logsumexp(np.full(4, -np.inf)) == -np.inf
-
-
-def test_log_weights_equal_brute_force_hamiltonian(rng):
-    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (4, 5), (5, 6), (6, 4)])
-    h = rng.normal(0.0, 2.0, 7)
-    # vertex 0's neighbours 1 and 3 are both fixed; 4 has no fixed neighbour
-    cases = [({}, range(7)), ({1: 1, 3: -1}, [0, 2, 4, 5, 6]), ({1: -1, 3: 1, 5: 1}, [6, 0, 4, 2])]
-    cases.append(({v: (-1) ** v for v in range(7)}, []))  # k = 0
-    for boundary, order in cases:
-        inst = IsingInstance(g, -0.7, h, boundary)
-        order = list(order)
-        table = M._log_weights(inst, order)
-        assert table.shape == (2,) * len(order)
-        for idx in itertools.product((0, 1), repeat=len(order)):
-            s = np.zeros(7)
-            for v, tau in boundary.items():
-                s[v] = tau
-            for v, i in zip(order, idx):
-                s[v] = 2 * i - 1
-            assert abs(table[idx] + hamiltonian(inst, s)) <= 1e-12
-
-
 def test_influence_bound_even_in_h_matches_closed_form():
     # M = sinh(c) / (cosh 2h + cosh c) with c = 2|beta|delta; a sigmoid
     # difference taken at large positive h cancels to 0 instead
@@ -299,8 +276,8 @@ def test_region_law_rejects_repeated_vertex():
 
 
 def test_exact_partition_past_one_table_memory_bounded(rng):
-    # 20 free vertices on a 22-vertex path: four tables of 2^16 entries,
-    # checked against the transfer-matrix product
+    # 20 free vertices on a 22-vertex path: no table is wider than two
+    # vertices, checked against the transfer-matrix product
     n = 22
     g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
     h = rng.uniform(-1.5, 1.5, n)
