@@ -32,7 +32,8 @@ import sys
 from . import __version__
 # every subcommand needs graph and model; each cmd_* imports its own layer
 # itself, so a run loads only that layer: only grow, gen-graph and
-# gen-fields load numpy (randgen imports it), and glauber no SAW layer
+# gen-fields load numpy (randgen imports it), none loads scipy, and glauber,
+# gen-graph and gen-fields load no SAW layer
 from . import graph as graphmod, model
 
 FORMATS = [

@@ -126,5 +126,4 @@ def load(path: str) -> Graph:
 
 def save(g: Graph, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(to_json_dict(g), f)
-        f.write("\n")
+        f.write(json.dumps(to_json_dict(g)) + "\n")

@@ -6,8 +6,8 @@ e^{2h} overflow in linear space.  The module is pure Python.  The exact
 oracles sum the free spins out by frontier elimination (`_plan`,
 `_region_log_z`) on flat lists of log-weights, so `rfim exact` and
 `rfim perc` load no numpy, like `count`, `check`, `sample` and `glauber`.
-`expit` reproduces scipy's function bit for bit, so no subcommand but
-`gen-fields` (whose Gaussian draws use `scipy.special.ndtri`) loads scipy.
+`expit` reproduces scipy's function bit for bit, as `rfim.randgen.ndtri`
+does for the Gaussian draws, so no subcommand loads scipy.
 """
 
 from __future__ import annotations
@@ -364,5 +364,4 @@ def load(path: str) -> IsingInstance:
 
 def save(inst: IsingInstance, path: str) -> None:
     with open(path, "w") as f:
-        json.dump(to_json_dict(inst), f)
-        f.write("\n")
+        f.write(json.dumps(to_json_dict(inst)) + "\n")

@@ -120,13 +120,12 @@ runpy.run_module("rfim.cli", run_name="__main__")
 
 
 def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
-    # every subcommand but gen-fields (Gaussian draws through ndtri) runs
-    # without scipy, and only grow, gen-graph and gen-fields (randgen's
-    # generator) load numpy: exact and perc enumerate in pure Python, and the
-    # warm instance has a mixing guarantee, so glauber runs a chain.  Only
-    # count, check and sample load the counting layer, glauber loads no SAW
-    # layer, and none of count, check, sample and glauber loads dataclasses
-    # or inspect
+    # no subcommand loads scipy (randgen's ndtri is pure Python), and only
+    # grow, gen-graph and gen-fields (randgen's generator) load numpy: exact
+    # and perc enumerate in pure Python, and the warm instance has a mixing
+    # guarantee, so glauber runs a chain.  Only count, check and sample load
+    # the counting layer, glauber, gen-graph and gen-fields load no SAW layer,
+    # and none of count, check, sample and glauber loads dataclasses or inspect
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     path = tmp_path / "warm.json"
     M.save(IsingInstance(g, 0.1, np.array([3.0, -2.5, 4.0, 3.5])), str(path))
@@ -154,14 +153,11 @@ def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
         assert ("numpy" in modules) == (sub in ("grow", "gen-graph", "gen-fields")), sub
         if sub in ("count", "check", "sample", "glauber"):
             assert "dataclasses" not in modules and "inspect" not in modules, sub
+        if sub in ("glauber", "gen-graph", "gen-fields"):
+            assert "rfim.sawtree" not in modules, sub
         if sub == "glauber":
-            assert "rfim.sawtree" not in modules
             assert len(json.loads(res.stdout)["config"]) == 4
-        scipy_modules = [m for m in modules if m.startswith("scipy")]
-        if sub == "gen-fields":
-            assert "scipy.special" in scipy_modules
-        else:
-            assert scipy_modules == [], sub
+        assert [m for m in modules if m.startswith("scipy")] == [], sub
 
 
 def test_glauber_without_guarantee_loads_no_numpy(tmp_path):
@@ -183,6 +179,8 @@ def test_glauber_without_guarantee_loads_no_numpy(tmp_path):
 
 
 def test_rfim_imports_no_dataclasses():
+    # nor scipy: expit and ndtri are pure-Python ports
+    banned = {"dataclasses", "scipy"}
     src = Path(__file__).resolve().parents[1] / "src" / "rfim"
     paths = sorted(src.glob("*.py"))
     assert len(paths) >= 9
@@ -194,7 +192,7 @@ def test_rfim_imports_no_dataclasses():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
+            assert not any(n.split(".")[0] in banned for n in names), path.name
 
 
 def test_import_cli_loads_no_numpy():

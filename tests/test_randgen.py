@@ -75,6 +75,25 @@ def test_fields_golden_determinism():
     ]
 
 
+def test_ndtri_equals_scipy_bit_for_bit():
+    from scipy.special import ndtri as scipy_ndtri
+
+    # the centre branch ends at exp(-2) and 1 - exp(-2); the tail switches
+    # coefficients where sqrt(-2 log y) = 8, at y = exp(-32)
+    edges = [R._EXPM2, 1.0 - R._EXPM2]
+    near = [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)]
+    switch = math.exp(-32)
+    tail = np.linspace(0.99 * switch, 1.01 * switch, 2001)
+    tail = np.concatenate([tail, [switch + k * math.ulp(switch) for k in range(-3, 4)]])
+    grid = np.concatenate([
+        np.random.default_rng(11).random(100_000),
+        [1e-17, 1.0 - 1e-16, 0.5, 1e-300, 5e-324, 0.0, 1.0],
+        edges, near, tail, 1.0 - tail,
+    ])
+    ours = np.array([R.ndtri(x) for x in grid.tolist()])
+    assert ours.view(np.int64).tolist() == scipy_ndtri(grid).view(np.int64).tolist()
+
+
 def test_fields_zero_variance():
     assert np.all(gen_fields(20, FieldSpec("gaussian", variance=0.0), seed=0) == 0.0)
 
