@@ -4,14 +4,13 @@ Exit codes: 0 success, 1 input error (a bad argument, or a malformed, missing
 or unreadable file, `--out` included), 2 rejection by `check` (certified error
 above eps, or its walks ran out of `sawtree.NODE_BUDGET` nodes), 3 no mixing
 guarantee from `glauber` (the chain does not contract, or its certified step
-count is above `glauber.STEP_BUDGET`), 4 certified error too large (`count`
-cannot certify its estimate at a forced `--depth`), or `sawtree.NODE_BUDGET`
-SAW-tree nodes walked by the tau schedule of `count` or `sample` without its
-error fitting eps, by a forced-depth pass or draw, or by `grow --saw-tree`.
-
-A forced `--depth` gives no eps guarantee: `count` and `sample` only report
-their bound, and `count` exits 4 for its error only once a step's error
-reaches 1/4.
+count is above `glauber.STEP_BUDGET`), 4 certified error too large (a
+`count` step's error reaches 1/4 at a forced `--depth`), or
+`sawtree.NODE_BUDGET` SAW-tree nodes walked by `count` or a draw of `sample`
+before a step's error fit eps/|free|, by a forced-depth pass or draw, or by
+`grow --saw-tree`.  A forced `--depth` gives no eps guarantee: `count` and
+`sample` only report their bound, `tau` null and `depth` the forced one;
+otherwise `tau` is the smallest tau a step walked at.
 
 Each `cmd_*` reads its files through `_read` and returns its output object
 and exit code.  `cli_dispatch` alone attaches the run manifest, writes the
@@ -162,7 +161,7 @@ def cmd_sample(args) -> tuple[dict, int]:
         "config": res.config,
         "depth": -1 if res.depth_used is None else res.depth_used,
         "tau": res.tau,
-        "tv_budget": float(sum(res.per_vertex_certified_error)),
+        "tv_budget": math.fsum(res.per_vertex_certified_error),
     }
     return obj, EXIT_OK
 

@@ -1,6 +1,14 @@
 """End-to-end approximate counting (telescoping product over sequentially
-fixed spins) and sequential approximate sampling, with per-run certified
-error accounting and the whole-instance acceptance check.
+fixed spins) and sequential approximate sampling, with per-step certified
+error accounting, and the whole-instance acceptance check.
+
+Counting and sampling fix the free spins one at a time, in `free_vertices`
+order, and certify each step on its own (`_step`): the step walks its
+vertex's SAW tree on the influence-pruned frontier at tau = 10 eps/|free|,
+and again at a tenth of tau until the step's certified error, read from
+the walk's frontier bracket, fits its allotment eps/|free|.  So the step
+errors of a count, and of a draw along whatever path it takes, sum to at
+most eps.
 
 Counting, the check and single draws are pure Python: the sampler draws
 from a `random.Random(seed)`, one uniform per free vertex in
@@ -34,29 +42,37 @@ if TYPE_CHECKING:
 #: e/(p_hat - e) is no longer controlled (p_hat >= 1/2).
 STEP_ERROR_LIMIT = 0.25
 
-#: Factor by which tau falls from one attempt to the next.
-TAU_STEP = 100.0
+#: Factor by which a step's tau falls from one walk to the next.
+TAU_STEP = 10.0
 
 
 class CertifiedErrorTooLarge(CertificationFailed):
-    """A per-step certified error reached 1/4 at a forced depth, or the tau
-    schedule ran out of its node budget before its certified error fit."""
+    """A count step's certified marginal error reached 1/4 at a forced
+    depth, or a step ran out of the node budget before its certified error
+    fit its allotment."""
 
 
 class CountResult(NamedTuple):
     log_z_estimate: float
     per_vertex_certified_error: list[float]
     total_certified_relative_error: float
-    # forced depth (None = untruncated), else the kept pass's deepest SawWalk.depth
+    # forced depth (None = untruncated), else the steps' deepest SawWalk.depth
     depth_used: int | None
-    tau: float | None  # influence threshold of the kept pass; None when forced
+    tau: float | None  # the steps' smallest tau; None at a forced depth
 
 
 class SampleResult(NamedTuple):
     config: list[int]
-    depth_used: int | None  # as in CountResult, for the certification pass
+    depth_used: int | None  # as in CountResult, for this draw's steps
     per_vertex_certified_error: list[float]
     tau: float | None
+
+
+class _Step(NamedTuple):
+    marginal: float  # P(sigma_v = +1) given the spins fixed before v
+    error: float  # certified error of the step
+    tau: float | None  # the tau it fit at; None at a forced depth
+    depth: int  # its walk's SawWalk.depth
 
 
 def default_h0(delta: int, beta: float) -> float:
@@ -82,72 +98,75 @@ def _forced_cut(inst: IsingInstance, depth) -> int | None:
     return None if cut is not None and cut >= inst.graph.n else cut
 
 
-def _first_tau(inst: IsingInstance, eps: float) -> float:
-    """eps/(4n), where the tau schedule starts and the check's tau is taken."""
-    return eps / (4.0 * max(inst.graph.n, 1))
+def _frontier(inst: IsingInstance, eps: float, depth_override):
+    """(cut, first tau, allotment) of every step: the allotment is
+    eps/|free|; a forced depth (math.inf = untruncated) is its uniform cut
+    and no tau, otherwise there is no cut and tau starts at ten allotments."""
+    check_eps(eps)
+    allot = eps / max(len(inst.free_vertices), 1)
+    if depth_override is not None:
+        return _forced_cut(inst, depth_override), None, allot
+    return None, 10.0 * allot, allot
 
 
-def _fit_tau(inst: IsingInstance, eps: float, certify):
-    """(tau, result) for the first tau of eps/(4n), eps/(4n)/TAU_STEP, ...
-    whose pass fits eps, where `certify(tau)` returns (certified error,
-    result), the error math.inf when a step's certified error reached
-    STEP_ERROR_LIMIT.
+def _step(walker: SawWalker, v: int, boundary: dict, frontier, relative: bool) -> _Step:
+    """Certify the marginal of free vertex v given `boundary`.
 
-    The passes walk with one walker, so they share its budget of
-    NODE_BUDGET walker nodes; when it runs out, CertifiedErrorTooLarge says
-    how the last finished pass failed, or that none finished.  The schedule
-    ends: once tau underflows to 0 the pass is exact.
+    The step's error is the walk's bracket width e, a bound on the
+    marginal's distance from the exact one; for counting (`relative`) it is
+    the log-ratio bound e/(p_hat - e), p_hat = max(p, 1 - p), and inf once e
+    reaches STEP_ERROR_LIMIT.  At a forced depth the step walks once, and a
+    count step of error inf raises CertifiedErrorTooLarge.  Otherwise it
+    walks at tau, tau/TAU_STEP, ... until its error fits the allotment;
+    tau ends at 0, where the walk has no frontier and width 0.  Running
+    out of the walker's budget raises NodeBudgetExhausted at a forced
+    depth, and otherwise CertifiedErrorTooLarge naming v and tau.
     """
-    tau = _first_tau(inst, eps)
-    last = "no tau pass finished"
+    cut, tau, allot = frontier
     while True:
         try:
-            err, result = certify(tau)
+            res = walker.walk(v, boundary, cut, tau or 0.0)
         except NodeBudgetExhausted as e:
-            raise CertifiedErrorTooLarge(f"{e} at tau={tau:.3g}; {last}") from None
-        if err <= eps:
-            return tau, result
-        if math.isinf(err):
-            last = f"the pass at tau={tau:.3g} stopped at a step error >= {STEP_ERROR_LIMIT}"
-        else:
-            last = f"last certified error {err:.3g} > eps {eps}"
+            if tau is None:
+                raise
+            raise CertifiedErrorTooLarge(f"{e} at vertex {v}, tau={tau:.3g}") from None
+        p, e = res.marginal, res.width
+        if relative:
+            e = e / (max(p, 1.0 - p) - e) if e < STEP_ERROR_LIMIT else math.inf
+        if tau is None and e == math.inf:
+            raise CertifiedErrorTooLarge(f"certified marginal error {res.width:.3g} "
+                                         f">= {STEP_ERROR_LIMIT} at vertex {v}")
+        if tau is None or e <= allot:
+            return _Step(p, e, tau, res.depth)
         tau /= TAU_STEP
 
 
-class _Pass(NamedTuple):
-    config: list[int]  # the greedy configuration
-    log_r: list[float]  # per-step log-ratio terms
-    step_errs: list[float]  # per-step certified relative errors
-    depth: int  # the walks' deepest SawWalk.depth
+def _pass(inst: IsingInstance, walker: SawWalker, frontier, pick, relative: bool, cache: dict):
+    """Fix the free spins in `free_vertices` order, each to `pick(p)` for
+    its certified marginal p (see `_step`): (config, steps, depth_used,
+    tau) with depth_used and tau as in CountResult.
 
-
-def _telescoping_pass(
-    inst: IsingInstance, walker: SawWalker, cut_depth: int | None, tau: float = 0.0
-) -> _Pass:
-    """One greedy pass: fix each free spin to its majority branch, walking
-    each tree with `walker`, cut at `cut_depth` and pruned at `tau`.  Raises
-    CertifiedErrorTooLarge when a step's certified error reaches 1/4."""
+    `cache` is a trie over the spins fixed so far: a node holds its step
+    under None and its children under +1 and -1, so a pass adds at most
+    one node per step, and a step depends only on the spins before it.
+    """
     boundary_now = dict(inst.boundary)
-    log_r = []
-    step_errs = []
-    depth = 0
+    steps = []
+    node = cache
     for v in inst.free_vertices:
-        res = walker.walk(v, boundary_now, cut_depth, tau)
-        p, e = res.marginal, res.error
-        if e >= STEP_ERROR_LIMIT:
-            raise CertifiedErrorTooLarge(
-                f"certified marginal error {e:.3g} >= {STEP_ERROR_LIMIT} at vertex {v}"
-            )
-        if p >= 0.5:
-            spin, p_hat = +1, p
-        else:
-            spin, p_hat = -1, 1.0 - p
-        log_r.append(-math.log(p_hat))
-        step_errs.append(e / (p_hat - e))
-        depth = max(depth, res.depth)
+        step = node.get(None)
+        if step is None:
+            step = node[None] = _step(walker, v, boundary_now, frontier, relative)
+        spin = pick(step.marginal)
+        steps.append(step)
         boundary_now[v] = spin
+        node = node.setdefault(spin, {})
     config = [boundary_now[v] for v in range(inst.graph.n)]
-    return _Pass(config, log_r, step_errs, depth)
+    cut, tau, _ = frontier
+    if tau is None:
+        return config, steps, cut, None
+    return (config, steps, max((s.depth for s in steps), default=0),
+            min((s.tau for s in steps), default=tau))
 
 
 def approx_partition(
@@ -157,35 +176,23 @@ def approx_partition(
 ) -> CountResult:
     """Estimate log Z with a certified relative-error bound.
 
-    With a forced depth (math.inf = untruncated), one telescoping pass at
-    that uniform cut, whatever its certified error; it raises
-    NodeBudgetExhausted once it has walked NODE_BUDGET nodes.  Otherwise
-    the pass is walked on the influence-pruned frontier at each tau of
-    `_fit_tau`, and the first pass whose certified total error fits eps is
-    kept; the schedule raises CertifiedErrorTooLarge once it has walked
-    NODE_BUDGET nodes.
+    One telescoping pass fixes each free spin to its majority branch, of
+    probability p_hat; log Z is -H(config) - sum log p_hat, and each step's
+    certified error bounds its log p_hat term's error.  Each step fits
+    eps/|free| (see `_step`), so the total fits eps; the steps share one
+    budget of NODE_BUDGET walker nodes.  A forced depth (math.inf =
+    untruncated) walks each step once at that uniform cut and reports its
+    error, whatever its size.
     """
-    check_eps(eps)
-    walker = SawWalker(inst)
-    if depth_override is not None:
-        cut = _forced_cut(inst, depth_override)
-        done, tau, depth = _telescoping_pass(inst, walker, cut), None, cut
-    else:
-
-        def certify(tau):
-            try:
-                done = _telescoping_pass(inst, walker, None, tau)
-            except CertifiedErrorTooLarge:
-                return math.inf, None
-            return sum(done.step_errs), done
-
-        tau, done = _fit_tau(inst, eps, certify)
-        depth = done.depth
-    log_z = -hamiltonian(inst, done.config) + sum(done.log_r)
+    frontier = _frontier(inst, eps, depth_override)
+    config, steps, depth, tau = _pass(
+        inst, SawWalker(inst), frontier, lambda p: +1 if p >= 0.5 else -1, True, {})
+    errs = [s.error for s in steps]
+    log_r = [-math.log(max(s.marginal, 1.0 - s.marginal)) for s in steps]
     return CountResult(
-        log_z_estimate=float(log_z),
-        per_vertex_certified_error=done.step_errs,
-        total_certified_relative_error=float(sum(done.step_errs)),
+        log_z_estimate=float(-hamiltonian(inst, config) + math.fsum(log_r)),
+        per_vertex_certified_error=errs,
+        total_certified_relative_error=math.fsum(errs),
         depth_used=depth,
         tau=tau,
     )
@@ -198,17 +205,13 @@ def approx_sample(
     depth_override: int | float | None = None,
 ) -> SampleResult:
     """Draw one spin configuration, sequentially sampling each free spin from
-    its (approximate) conditional marginal.  Untruncated trees give an exact
-    Gibbs draw; truncation adds at most the summed certified errors in total
-    variation.  The frontier is a forced depth or the first tau of the
-    schedule whose budget fits eps (see `_sample_frontier`); running out of
-    NODE_BUDGET raises CertifiedErrorTooLarge there, and NodeBudgetExhausted
-    in a draw at a forced depth.  A forced depth gives no eps guarantee: the
-    draw only reports its summed certified errors, whatever their size."""
-    rng = random.Random(seed)
-    walker = SawWalker(inst)
-    frontier = _sample_frontier(inst, eps, walker, depth_override)
-    return _draw(inst, walker, frontier, rng, {})
+    its certified marginal (see `_step`).  Untruncated trees give an exact
+    Gibbs draw; otherwise the draw is within the sum of its step errors,
+    each a bracket width of at most eps/|free|, of the Gibbs law in total
+    variation.  The draw's walks share one budget of NODE_BUDGET walker
+    nodes.  A forced depth gives no eps guarantee: the draw walks each step
+    once at that uniform cut and only reports its step errors."""
+    return next(_draws(inst, _frontier(inst, eps, depth_override), seed))
 
 
 def sample_many(
@@ -220,90 +223,45 @@ def sample_many(
 ) -> np.ndarray:
     """Draw `count` configurations, sharing a marginal cache across draws.
 
-    The conditional marginal at each step depends only on the spins already
-    fixed, so repeated draws reuse each other's walks.  The frontier depends
-    only on the instance, so `_sample_frontier` chooses it once for all
-    draws; without a forced depth its tau schedule runs under one node
-    budget, and each draw then walks at most the nodes of the kept
-    certification pass.  Each draw has a budget of its own.  Returns an
-    array of shape (count, n).
+    A step's certified marginal depends only on the spins already fixed, so
+    repeated draws reuse each other's steps.  The first draw is the draw of
+    `approx_sample` with the same arguments, and each draw has a budget of
+    its own.  Returns an array of shape (count, n).
     """
     import numpy as np
 
-    rng = random.Random(seed)
-    walker = SawWalker(inst)
-    frontier = _sample_frontier(inst, eps, walker, depth_override)
-    cache: dict = {}
     out = np.empty((count, inst.graph.n), dtype=int)
-    for i in range(count):
-        out[i] = _draw(inst, walker, frontier, rng, cache).config
+    draws = _draws(inst, _frontier(inst, eps, depth_override), seed)
+    for i, res in zip(range(count), draws):
+        out[i] = res.config
     return out
 
 
-def _sample_frontier(inst, eps, walker, depth_override):
-    """The sampler's frontier (cut, tau, depth_used).  A forced depth is the
-    uniform cut alone.  Otherwise the first tau of `_fit_tau` whose summed
-    certified errors, walked with only the original boundary, fit the TV
-    budget eps.  This is conservative for the sequential draw: extending
-    the boundary only turns walked nodes into leaves, and a pruned node's
-    path product is the same in both walks, so a draw's frontier leaves are
-    a subset of these.  Draws no random numbers."""
-    check_eps(eps)
-    if depth_override is not None:
-        cut = _forced_cut(inst, depth_override)
-        return cut, None, cut
+def _draws(inst: IsingInstance, frontier, seed: int):
+    """Sequential draws from one `random.Random(seed)`, of which a draw
+    takes one `random()` per free vertex, against a shared step cache;
+    each draw resets the walker's budget."""
+    rng = random.Random(seed)
+    walker = SawWalker(inst)
+    cache: dict = {}
 
-    def certify(tau):
-        total, depth = 0.0, 0
-        for v in inst.free_vertices:
-            res = walker.walk(v, inst.boundary, None, tau)
-            if res.error >= STEP_ERROR_LIMIT:
-                return math.inf, None
-            total += res.error
-            depth = max(depth, res.depth)
-        return total, depth
+    def pick(p):
+        return +1 if rng.random() < p else -1
 
-    tau, depth = _fit_tau(inst, eps, certify)
-    return None, tau, depth
-
-
-def _draw(inst, walker, frontier, rng, cache: dict) -> SampleResult:
-    """One sequential draw on `frontier` (cut, tau, depth_used).  `cache` is
-    a trie over the spins fixed so far: a node holds its step's (marginal,
-    certified error) under None and its children under +1 and -1, so a
-    draw adds at most one node per step.  `rng` is a `random.Random`, of
-    which the draw takes one `random()` per free vertex.  The draw's walks
-    share a budget of NODE_BUDGET walker nodes; a draw on a tau frontier
-    walks a subset of its certification pass's nodes, so only a forced
-    depth can run it out."""
-    cut, tau, depth = frontier
-    walker.nodes = 0
-    boundary_now = dict(inst.boundary)
-    step_errs = []
-    node = cache
-    for v in inst.free_vertices:
-        step = node.get(None)
-        if step is None:
-            res = walker.walk(v, boundary_now, cut, tau or 0.0)
-            step = node[None] = (res.marginal, res.error)
-        p, e = step
-        spin = +1 if rng.random() < p else -1
-        step_errs.append(e)
-        boundary_now[v] = spin
-        node = node.setdefault(spin, {})
-    config = [boundary_now[v] for v in range(inst.graph.n)]
-    return SampleResult(
-        config=config, depth_used=depth, per_vertex_certified_error=step_errs, tau=tau
-    )
+    while True:
+        walker.nodes = 0
+        config, steps, depth, tau = _pass(inst, walker, frontier, pick, False, cache)
+        yield SampleResult(config=config, depth_used=depth,
+                           per_vertex_certified_error=[s.error for s in steps], tau=tau)
 
 
 def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> CertificateReport:
     """Per-instance acceptance certificate for the counting run.
 
     Walks each vertex's SAW tree cut at the uniform depth
-    ceil(log(4n/eps)/rate) and pruned at tau = eps/(4n)/TAU_STEP, one step
-    below the first tau of the count schedule.  The certified error of a
-    walk holds leaf by leaf, so for this frontier too.  The walks check the
+    ceil(log(4n/eps)/rate) and pruned at tau = eps/(4n)/100, a hundredth of
+    the paper's per-vertex share.  The certified error of a walk, the
+    influence-path sum, holds leaf by leaf, so for this frontier too.  The walks check the
     strong-spatial-mixing certificate, whose path rule (`paths_ok`) is read
     on the walked frontier and does not gate the verdict, and aggregate
     per-vertex certified errors through the worst-case composition
@@ -326,7 +284,7 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     # eps < 1, 4n/eps > max(n, 2), and at rate = inf both terms give depth 1
     report.depth = depth = choose_depth(inst.graph.n, eps, rate)
     cut = _forced_cut(inst, depth)
-    report.tau = tau = _first_tau(inst, eps) / TAU_STEP
+    report.tau = tau = eps / (4.0 * max(inst.graph.n, 1)) / 100.0
 
     walker = SawWalker(inst, h0)
     free = inst.free_vertices
@@ -343,7 +301,7 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     if any(e >= STEP_ERROR_LIMIT for e in per_vertex):
         total = math.inf
     else:
-        total = sum(e / (0.5 - e) for e in per_vertex)
+        total = math.fsum(e / (0.5 - e) for e in per_vertex)
     report.certified_rel_err = float(total)
     report.accepted = total <= eps
     if not report.accepted:

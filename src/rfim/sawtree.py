@@ -54,6 +54,11 @@ class SawWalk(NamedTuple):
     when the walker was made without h0).  `depth` is one more than the
     deepest level the walk expanded (0 when it expanded none): a uniform
     cut at `depth` expands the same levels.
+
+    `width`, of an estimate walker, is expit(hi) - expit(lo) for the largest
+    and smallest root log-odds hi and lo over all frontier spins: the exact
+    marginal lies within `width` of `marginal`, and `width` <= `error`.
+    A certificate walker reports None.
     """
 
     log_odds: float
@@ -61,6 +66,7 @@ class SawWalk(NamedTuple):
     node_count: int
     paths_ok: bool | None
     depth: int
+    width: float | None
 
     @property
     def marginal(self) -> float:
@@ -71,6 +77,11 @@ class SawWalk(NamedTuple):
 class SawWalker:
     """Single-pass evaluation of SAW trees of one instance's graph, fields
     and beta; the boundary is given per walk.
+
+    Made without h0 a walker is an estimate walker (counting, sampling): its
+    walks report the frontier bracket's `width` and no `paths_ok`.  Made
+    with h0 it is a certificate walker (the check): its walks read the path
+    rule into `paths_ok` and report no `width`.
 
     An expanded node's tree degree equals its graph degree (the root has no
     parent, every other node has all neighbours but its parent as children),
@@ -88,13 +99,17 @@ class SawWalker:
         h = [float(x) for x in inst.fields]
         self.n = g.n
         self.adjacency = g.adjacency
-        self.b2 = 2.0 * inst.beta
+        self.b2 = b2 = 2.0 * inst.beta
         self.h2 = [2.0 * x for x in h]
         self.influence = [influence_bound(g.degree(v), h[v], inst.beta) for v in range(g.n)]
         self.h0 = h0
         # a vertex counts as large when |h| >= h0; without h0 all do, so the
         # path rule never fails and is reported as None
         self.large = [1] * g.n if h0 is None else [int(abs(x) >= h0) for x in h]
+        # a frontier leaf's -1 spin moves its parent's log-odds up (beta < 0)
+        # or down (beta > 0) by 2|b2|; by 0 in a certificate walker
+        self._up = -2.0 * b2 if h0 is None and b2 < 0 else 0.0
+        self._down = 2.0 * b2 if h0 is None and b2 > 0 else 0.0
         # pos[w] = depth of w on the current walk, or -1; all -1 between walks
         self._pos = [-1] * g.n
         self.nodes = 0
@@ -116,28 +131,37 @@ class SawWalker:
         has passed NODE_BUDGET.
 
         Iterative depth-first walk in tree order.  Each expanded node keeps a
-        frame (vertex, parent, neighbour iterator, running log-odds, influence
-        product down to it, free and large counts on its path); a node's
-        log-odds is final when its neighbours are exhausted and is then
-        folded into its parent's.  The certified error sums, over frontier
-        leaves, the influence products of their expanded ancestors; the
-        bound of `certified_truncation_error` holds leaf by leaf, so it
-        holds for any frontier.
+        frame (vertex, parent, neighbour iterator, running log-odds, bracket
+        offsets, influence product down to it, free and large counts on its
+        path); a node's log-odds is final when its neighbours are exhausted
+        and is then folded into its parent's.  The certified error sums,
+        over frontier leaves, the influence products of their expanded
+        ancestors; the bound of `certified_truncation_error` holds leaf by
+        leaf, so it holds for any frontier.
+
+        The bracket [lo, hi] is kept as offsets dh = hi - acc, dl = acc - lo
+        from the running log-odds acc.  A child's term in its parent's
+        log-odds is monotone in the child's log-odds (Weitz, STOC 2006), so
+        the parent's hi and lo take the terms of the child's hi and lo,
+        swapped when beta < 0.  In a subtree without frontier leaves both
+        offsets stay 0 and cost no term; for beta >= 0, dh stays 0.
         """
         if not 0 <= root < self.n:
             raise IndexError(f"root {root} out of range")
         if cut_depth is not None and cut_depth < 0:
             raise ValueError("cut_depth must be >= 0")
-        paths_ok = True if self.h0 is not None else None
+        est = self.h0 is None
+        paths_ok = None if est else True
         if root in boundary:
             self.nodes += 1
-            return SawWalk(math.inf if boundary[root] == 1 else -math.inf, 0.0, 1, paths_ok, 0)
+            return SawWalk(math.inf if boundary[root] == 1 else -math.inf, 0.0, 1, paths_ok, 0,
+                           0.0 if est else None)
         if cut_depth == 0:
             self.nodes += 1
-            return SawWalk(math.inf, 1.0, 1, paths_ok, 0)
+            return SawWalk(math.inf, 1.0, 1, paths_ok, 0, 1.0 if est else None)
 
         adjacency, influence, large = self.adjacency, self.influence, self.large
-        h2, b2 = self.h2, self.b2
+        h2, b2, up, down = self.h2, self.b2, self._up, self._down
         # a SAW has fewer than n edges, so an untruncated walk never reaches n
         last = self.n if cut_depth is None else cut_depth - 1
         limit = NODE_BUDGET - self.nodes
@@ -153,7 +177,7 @@ class SawWalker:
 
         v, parent, depth, deepest = root, -1, 0, 0
         it = iter(adjacency[root])
-        acc = h2[root]
+        acc, dh, dl = h2[root], 0.0, 0.0
         prod = influence[root]
         n_free, n_large = 1, large[root]
         try:
@@ -175,10 +199,12 @@ class SawWalker:
                         total += prod
                         short = short or 2 * n_large < n_free
                         acc += b2  # frontier leaf, fixed to +1
+                        dh += up
+                        dl += down
                     else:
                         if count > limit:
                             raise NodeBudgetExhausted(self.nodes + count)
-                        frames.append((v, parent, it, acc, prod, n_free, n_large))
+                        frames.append((v, parent, it, acc, dh, dl, prod, n_free, n_large))
                         parent, v = v, w
                         depth += 1
                         if depth > deepest:
@@ -186,7 +212,7 @@ class SawWalker:
                         path.append(w)
                         pos[w] = depth
                         it = iter(adjacency[w])
-                        acc = h2[w]
+                        acc, dh, dl = h2[w], 0.0, 0.0
                         prod *= influence[w]
                         n_free += 1
                         n_large += large[w]
@@ -194,21 +220,33 @@ class SawWalker:
                 else:
                     if not frames:
                         break
-                    # v is done: fold its log-odds into its parent's
+                    # v is done: fold its log-odds and bracket into its parent's
                     term = child_term(acc, b2)
+                    if dh or dl:
+                        t_hi = child_term(acc + dh, b2) if dh else term
+                        t_lo = child_term(acc - dl, b2) if dl else term
+                        if b2 < 0:
+                            t_hi, t_lo = t_lo, t_hi
+                        # v's offsets, now in its parent's terms
+                        dh, dl = t_hi - term, term - t_lo
                     pos[v] = -1
                     path.pop()
                     depth -= 1
-                    v, parent, it, acc, prod, n_free, n_large = frames.pop()
-                    acc += term
+                    v, parent, it, acc_p, dh_p, dl_p, prod, n_free, n_large = frames.pop()
+                    acc = acc_p + term
+                    dh += dh_p
+                    dl += dl_p
         finally:
             self.nodes += count
             for w in path:
                 pos[w] = -1
 
-        if paths_ok is not None:
-            paths_ok = not short
-        return SawWalk(acc, min(total, 1.0), count, paths_ok, deepest + 1)
+        if not est:
+            return SawWalk(acc, min(total, 1.0), count, not short, deepest + 1, None)
+        hi, lo = acc + dh, acc - dl
+        # on the side where neither sigmoid rounds to 1, as in influence_bound
+        width = expit(-lo) - expit(-hi) if lo > 0 else expit(hi) - expit(lo)
+        return SawWalk(acc, min(total, 1.0), count, None, deepest + 1, width)
 
 
 class SawNode:

@@ -280,7 +280,7 @@ def test_non_finite_arguments_exit_one(triangle_instance):
             assert res.returncode == 1, (sub, h0)
             assert res.stdout == ""
             assert "error:" in res.stderr and "--h0" in res.stderr and "finite" in res.stderr
-    # sample has no --h0: its tau schedule does not read a field threshold
+    # sample has no --h0: its steps do not read a field threshold
     res = run_cli("sample", "--instance", path, "--h0", "1")
     assert res.returncode == 1
     assert res.stdout == "" and "--h0" in res.stderr
@@ -551,8 +551,9 @@ def test_perc_rejects_non_integer_trials_and_seed(tmp_path):
 def test_count_and_sample_report_tau(triangle_instance):
     _, path = triangle_instance
     for sub in ("count", "sample"):
-        scheduled = json.loads(run_cli(sub, "--instance", path, "--eps", "0.05").stdout)
-        assert scheduled["tau"] == pytest.approx(0.05 / 12) and scheduled["depth"] == 3
+        # every step fits at the first tau, 10 eps/|free|, which prunes nothing
+        adaptive = json.loads(run_cli(sub, "--instance", path, "--eps", "0.05").stdout)
+        assert adaptive["tau"] == pytest.approx(10 * 0.05 / 3) and adaptive["depth"] == 3
         forced = json.loads(run_cli(sub, "--instance", path, "--depth", "inf").stdout)
         assert forced["tau"] is None and forced["depth"] == -1
     # a forced depth gives no eps guarantee: sample only reports its budget

@@ -102,8 +102,9 @@ def test_greedy_sequence_has_mass(rng):
         n = int(rng.integers(2, 8))
         g = random_connected_graph(n, rng)
         inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n))
-        done = C._telescoping_pass(inst, SawWalker(inst), None)
-        log_p = -hamiltonian(inst, done.config) - exact_partition(inst)
+        frontier = C._frontier(inst, 0.1, math.inf)
+        config, *_ = C._pass(inst, SawWalker(inst), frontier, greedy, True, {})
+        log_p = -hamiltonian(inst, config) - exact_partition(inst)
         assert log_p >= -n * math.log(2) - 1e-9
 
 
@@ -114,88 +115,133 @@ def test_abort_on_uncontrolled_error():
         approx_partition(inst, 0.1, depth_override=1)
 
 
-def record_count_attempts(monkeypatch):
-    """[(tau, certified error)] of every telescoping pass the counter makes
-    from now on; inf for a pass aborted by a step error of 1/4."""
-    seen = []
-    orig = C._telescoping_pass
+def replay(inst, eps, pick, relative, depth=None):
+    """The per-step rule, replayed by hand with one walker: for each free
+    vertex in `free_vertices` order, the (tau, certified error, walk) of
+    every walk of its step, and the spin pick(marginal) it then fixes.  A
+    step walks from tau = 10 eps/|free| down tenfold until its error (the
+    bracket width, or for counting e/(p_hat - e), inf from e = 1/4 on) is at
+    most eps/|free|.  A forced depth (math.inf = untruncated) walks once at
+    its cut, with tau None.  Returns (steps, config)."""
+    k = len(inst.free_vertices)
+    cut = None if depth is None or math.isinf(depth) else depth
+    walker = SawWalker(inst)
+    boundary = dict(inst.boundary)
+    steps = []
+    for v in inst.free_vertices:
+        tau = None if depth is not None else 10 * eps / k
+        walks = []
+        while True:
+            res = walker.walk(v, boundary, cut, tau or 0.0)
+            p, e = res.marginal, res.width
+            if relative:
+                e = e / (max(p, 1 - p) - e) if e < 0.25 else math.inf
+            walks.append((tau, e, res))
+            if tau is None or e <= eps / k:
+                break
+            tau /= 10
+        boundary[v] = pick(p)
+        steps.append(walks)
+    return steps, [boundary[v] for v in range(inst.graph.n)]
 
-    def spy(inst, walker, cut_depth, tau=0.0):
-        try:
-            done = orig(inst, walker, cut_depth, tau)
-        except C.CertifiedErrorTooLarge:
-            seen.append((tau, math.inf))
-            raise
-        seen.append((tau, sum(done.step_errs)))
-        return done
 
-    monkeypatch.setattr(C, "_telescoping_pass", spy)
-    return seen
+def greedy(p):
+    return 1 if p >= 0.5 else -1
 
 
-def assert_tau_falls_until_fit(seen, n, eps, kept):
-    """The attempts are eps/(4n), divided by TAU_STEP each time, every one
-    but the last fails eps, and the last, which fits, is the kept tau."""
-    taus = [t for t, _ in seen]
-    assert taus == [eps / (4 * n) / C.TAU_STEP**k for k in range(len(seen))]
-    assert all(e > eps for _, e in seen[:-1])
-    assert seen[-1][1] <= eps
-    assert kept == taus[-1]
+def assert_count_replays(inst, eps):
+    """approx_partition is the replayed per-step rule: every step's error
+    fits eps/|free|, its tau falls tenfold from 10 eps/|free| until it
+    does, and log Z and the total are math.fsum sums of the steps' terms.
+    Returns (result, steps)."""
+    res = approx_partition(inst, eps)
+    steps, config = replay(inst, eps, greedy, True)
+    k = len(inst.free_vertices)
+    for walks in steps:
+        taus = [t for t, _, _ in walks]
+        assert taus == pytest.approx([10 * eps / k / 10**j for j in range(len(walks))], rel=1e-12)
+        assert all(e > eps / k for _, e, _ in walks[:-1])
+        assert walks[-1][1] <= eps / k
+    kept = [walks[-1] for walks in steps]
+    assert res.per_vertex_certified_error == [e for _, e, _ in kept]
+    assert res.tau == min(t for t, _, _ in kept)
+    assert res.depth_used == max(w.depth for _, _, w in kept)
+    log_r = [-math.log(max(w.marginal, 1 - w.marginal)) for _, _, w in kept]
+    assert res.log_z_estimate == -hamiltonian(inst, config) + math.fsum(log_r)
+    assert res.total_certified_relative_error == math.fsum(res.per_vertex_certified_error)
+    assert res.total_certified_relative_error <= eps
+    return res, steps
 
 
-def test_tau_schedule_zero_fields_reaches_exact(monkeypatch):
+def test_step_tau_zero_fields_reaches_exact():
     # zero fields defeat the certificate, but at beta 2 every influence
-    # factor is tanh(4), so the first tau prunes nothing: the pass is exact
+    # factor is tanh(4), so the first tau prunes nothing: every step is exact
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     inst = IsingInstance(g, 2.0, np.zeros(4))
-    seen = record_count_attempts(monkeypatch)
-    res = approx_partition(inst, 0.1)
-    assert_tau_falls_until_fit(seen, 4, 0.1, res.tau)
-    assert len(seen) == 1
+    res, steps = assert_count_replays(inst, 0.1)
+    assert all(len(walks) == 1 for walks in steps)
+    assert res.tau == 10 * 0.1 / 4
     assert res.depth_used == 4  # a SAW of the 4-cycle has at most 3 edges
     assert res.log_z_estimate == pytest.approx(exact_partition(inst), abs=1e-9)
     assert res.total_certified_relative_error == 0.0
 
 
-def test_tau_schedule_falls_until_error_fits(monkeypatch):
-    # on the 10-cycle the first tau already fits, for the counter's
-    # sequential pass and for the sampler's original-boundary budget
+def test_step_tau_falls_until_error_fits():
+    # on the 10-cycle the first step re-walks once, at a tenth of the first
+    # tau, and the later steps, with a neighbour already fixed, fit at once;
+    # on ER(16, 3) at zero fields the first two steps re-walk once
     n = 10
     g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-    inst = IsingInstance(g, 0.4, np.full(n, 1.2))
-    seen = record_count_attempts(monkeypatch)
-    res = approx_partition(inst, 0.1)
-    assert_tau_falls_until_fit(seen, n, 0.1, res.tau)
-    assert res.total_certified_relative_error <= 0.1
-    assert abs(res.log_z_estimate - exact_partition(inst)) <= res.total_certified_relative_error
+    cycle = IsingInstance(g, 0.4, np.full(n, 1.2))
+    res, steps = assert_count_replays(cycle, 0.1)
+    assert [len(walks) for walks in steps] == [2] + [1] * (n - 1)
+    assert res.tau == pytest.approx(10 * 0.1 / n / 10, rel=1e-12)
+    assert abs(res.log_z_estimate - exact_partition(cycle)) <= res.total_certified_relative_error
 
-    walker = SawWalker(inst)
-    tau = 0.1 / (4 * n)
-    walks = [walker.walk(v, {}, None, tau) for v in range(n)]
-    assert sum(w.error for w in walks) <= 0.1
-    sample = approx_sample(inst, 0.1, 0)
-    assert sample.tau == tau and sample.depth_used == max(w.depth for w in walks)
-    assert sum(sample.per_vertex_certified_error) <= 0.1
+    er = IsingInstance(gen_er_graph(16, 3.0, 0), 0.2, np.zeros(16))
+    res, steps = assert_count_replays(er, 0.1)
+    assert [len(walks) for walks in steps] == [2, 2] + [1] * 14
+    assert res.tau == pytest.approx(10 * 0.1 / 16 / 10, rel=1e-12)
+    assert abs(res.log_z_estimate - exact_partition(er)) <= res.total_certified_relative_error
 
-    # on ER(16, 3) at zero fields the first pass certifies 0.124 > 0.1, and
-    # tau falls once, to a pass that prunes nothing
-    g = gen_er_graph(16, 3.0, 0)
-    inst = IsingInstance(g, 0.2, np.zeros(16))
-    seen.clear()
-    res = approx_partition(inst, 0.1)
-    assert_tau_falls_until_fit(seen, 16, 0.1, res.tau)
-    assert len(seen) == 2
-    assert res.log_z_estimate == pytest.approx(exact_partition(inst), abs=1e-9)
-    assert res.total_certified_relative_error <= 0.1
+    # a draw's steps fit the same way, by their bracket widths
+    for inst in (cycle, er):
+        k = len(inst.free_vertices)
+        sample = approx_sample(inst, 0.1, 0)
+        steps, config = replay(inst, 0.1, stream_pick(random.Random(0)), False)
+        assert sample.config == config
+        assert sample.per_vertex_certified_error == [walks[-1][1] for walks in steps]
+        assert all(e <= 0.1 / k for e in sample.per_vertex_certified_error)
+        assert sample.tau == min(walks[-1][0] for walks in steps)
+        assert sample.depth_used == max(walks[-1][2].depth for walks in steps)
 
-    # the sampler's original-boundary budget falls the same way
-    walker = SawWalker(inst)
-    taus = [t for t, _ in seen]
-    budget = [sum(walker.walk(v, {}, None, t).error for v in range(16)) for t in taus]
-    assert budget[0] > 0.1 and budget[1] <= 0.1
-    sample = approx_sample(inst, 0.1, 0)
-    assert sample.tau == taus[1]
-    assert sum(sample.per_vertex_certified_error) <= 0.1
+
+def test_totals_are_fsum_of_their_steps(tmp_path, capsys):
+    # on this instance the plain left-to-right sum differs from math.fsum
+    # in the last bit for all three totals, so the totals printed do not
+    # depend on how a Python version's sum() rounds
+    g = gen_er_graph(60, 3.0, seed=9000)
+    inst = IsingInstance(g, 0.3, gen_fields(60, FieldSpec("gaussian", variance=100.0), seed=9500))
+    res = approx_partition(inst, 0.01)
+    assert res.total_certified_relative_error == math.fsum(res.per_vertex_certified_error)
+    report = check_instance(inst, 0.01)
+    walker = SawWalker(inst, report.h0)
+    errs = [walker.walk(v, inst.boundary, report.depth, report.tau).error
+            for v in inst.free_vertices]
+    assert report.certified_rel_err == math.fsum(e / (0.5 - e) for e in errs)
+
+    from rfim.cli import cli_dispatch
+
+    path = tmp_path / "inst.json"
+    M.save(inst, str(path))
+    capsys.readouterr()
+    assert cli_dispatch(["sample", "--instance", str(path), "--eps", "0.01", "--seed", "3"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    errs = approx_sample(inst, 0.01, 3).per_vertex_certified_error
+    assert obj["tv_budget"] == math.fsum(errs)
+    assert cli_dispatch(["count", "--instance", str(path), "--eps", "0.01"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["certified_rel_err"] == math.fsum(obj["per_vertex_err"])
 
 
 def test_sampler_product_measure(rng):
@@ -248,16 +294,20 @@ def test_sampler_determinism(rng):
     assert c.log_z_estimate == d.log_z_estimate
 
 
+def stream_pick(rng):
+    return lambda p: 1 if rng.random() < p else -1
+
+
 def test_sample_many_matches_individual_draws(rng):
+    # consecutive draws take consecutive uniforms of one stream
     g = random_connected_graph(5, rng)
     inst = IsingInstance(g, 0.5, rng.uniform(-1, 1, 5))
-    batch = sample_many(inst, 0.1, 3, 5, depth_override=math.inf)
-    rng2 = random.Random(3)
-    walker = SawWalker(inst)
-    frontier = C._sample_frontier(inst, 0.1, walker, math.inf)
-    for i in range(5):
-        res = C._draw(inst, walker, frontier, rng2, {})
-        assert np.array_equal(batch[i], res.config)
+    for depth in (None, math.inf):
+        batch = sample_many(inst, 0.1, 3, 5, depth_override=depth)
+        pick = stream_pick(random.Random(3))
+        for i in range(5):
+            _, config = replay(inst, 0.1, pick, False, depth)
+            assert np.array_equal(batch[i], config)
 
 
 def test_approx_sample_is_first_draw_of_sample_many(rng):
@@ -267,16 +317,14 @@ def test_approx_sample_is_first_draw_of_sample_many(rng):
         res = approx_sample(inst, 0.1, 5, depth_override=depth)
         first = sample_many(inst, 0.1, 5, 1, depth_override=depth)[0]
         assert np.array_equal(res.config, first)
-        walker = SawWalker(inst)
-        frontier = C._sample_frontier(inst, 0.1, walker, depth)
-        again = C._draw(inst, walker, frontier, random.Random(5), {})
-        assert np.array_equal(again.config, first)
-        assert again.per_vertex_certified_error == res.per_vertex_certified_error
+        steps, config = replay(inst, 0.1, stream_pick(random.Random(5)), False, depth)
+        assert config == res.config
+        assert res.per_vertex_certified_error == [walks[-1][1] for walks in steps]
 
 
 def test_approx_sample_matches_reference_replay(rng):
     # the documented stream: one random.Random(seed).random() per free
-    # vertex, in free_vertices order, against the walked marginal
+    # vertex, in free_vertices order, against the step's certified marginal
     for _ in range(5):
         n = int(rng.integers(2, 9))
         g = random_connected_graph(n, rng)
@@ -284,14 +332,8 @@ def test_approx_sample_matches_reference_replay(rng):
         seed = int(rng.integers(1000))
         for depth in (None, 2):
             got = approx_sample(inst, 0.1, seed, depth_override=depth)
-            walker = SawWalker(inst)
-            cut, tau, _ = C._sample_frontier(inst, 0.1, walker, depth)
-            ref_rng = random.Random(seed)
-            boundary = dict(inst.boundary)
-            for v in inst.free_vertices:
-                p = walker.walk(v, boundary, cut, tau or 0.0).marginal
-                boundary[v] = 1 if ref_rng.random() < p else -1
-            assert got.config == [boundary[v] for v in range(n)]
+            _, config = replay(inst, 0.1, stream_pick(random.Random(seed)), False, depth)
+            assert got.config == config
 
 
 def test_sample_many_memory_is_linear():
@@ -376,9 +418,23 @@ def test_variance_25_certifies_under_the_node_budget():
     assert sum(sample.per_vertex_certified_error) <= 0.01
 
 
+def test_variance_12_certifies_in_a_tenth_of_a_million_nodes(monkeypatch):
+    # the global tau schedule of earlier versions walked 5.5M nodes for
+    # this count, and its sampler ran out of the 10^7-node budget
+    g = gen_er_graph(200, 3.0, seed=9000)
+    h = gen_fields(200, FieldSpec("gaussian", variance=12.0), seed=9500)
+    inst = IsingInstance(g, 0.3, h)
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 10**5)
+    res = approx_partition(inst, 0.01)
+    assert res.total_certified_relative_error <= 0.01
+    sample = approx_sample(inst, 0.01, 0)
+    assert math.fsum(sample.per_vertex_certified_error) <= 0.01
+
+
 def test_node_budget_exhaustion_raises(monkeypatch, tmp_path, capsys):
+    # the count and the draw here certify in about 4,800 nodes each
     inst = variance_25_instance()
-    monkeypatch.setattr(sawtree, "NODE_BUDGET", 5000)
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 2000)
     with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
         approx_partition(inst, 0.01)
     with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
@@ -408,14 +464,14 @@ def test_sample_many_budget_is_per_draw(monkeypatch):
     k4 = Graph.from_edges(4, list(itertools.combinations(range(4), 2)))
     inst = IsingInstance(k4, 0.3, np.array([0.2, -0.1, 0.0, 0.3]))
     walked = []  # nodes each draw walks
-    orig = C._draw
+    orig = C._pass
 
-    def spy(inst, walker, frontier, rng, cache):
-        res = orig(inst, walker, frontier, rng, cache)
+    def spy(inst, walker, *args):
+        res = orig(inst, walker, *args)
         walked.append(walker.nodes)
         return res
 
-    monkeypatch.setattr(C, "_draw", spy)
+    monkeypatch.setattr(C, "_pass", spy)
     draws = sample_many(inst, 0.1, 0, 20, depth_override=math.inf)
     # the call walks more than a budget that its largest draw fits
     assert sum(walked) > max(walked)
@@ -426,23 +482,24 @@ def test_sample_many_budget_is_per_draw(monkeypatch):
         sample_many(inst, 0.1, 0, 20, depth_override=math.inf)
 
 
-def test_budget_message_says_how_the_schedule_failed(monkeypatch):
-    # the budget runs out inside the first tau pass
+def test_budget_message_names_the_vertex_and_tau(monkeypatch):
+    # the budget runs out in a step's walk: the message names its vertex
+    # and tau, a tenfold fall from 10 eps/|free|
     monkeypatch.setattr(sawtree, "NODE_BUDGET", 300)
-    with pytest.raises(C.CertifiedErrorTooLarge) as info:
-        approx_partition(variance_25_instance(), 0.01)
-    msg = str(info.value)
-    assert "no tau pass finished" in msg and "inf" not in msg
-    # K6 at beta 0.05: the first pass stops at a step error of 1/4 after
-    # 106 nodes, and the exact pass after it needs more than the budget
-    k6 = Graph.from_edges(6, list(itertools.combinations(range(6), 2)))
-    inst = IsingInstance(k6, 0.05, np.full(6, 0.1))
-    monkeypatch.setattr(sawtree, "NODE_BUDGET", 500)
-    with pytest.raises(C.CertifiedErrorTooLarge) as info:
-        approx_partition(inst, 0.5)
-    msg = str(info.value)
-    assert "the pass at tau=0.0208 stopped at a step error >= 0.25" in msg
-    assert "inf" not in msg
+    inst = variance_25_instance()
+    for run in (lambda: approx_partition(inst, 0.01), lambda: approx_sample(inst, 0.01, 0)):
+        with pytest.raises(C.CertifiedErrorTooLarge) as info:
+            run()
+        m = re.fullmatch(r"node budget ran out after (\d+) walker nodes at vertex (\d+), tau=(.+)",
+                         str(info.value))
+        assert m and int(m[1]) > 300 and int(m[2]) in inst.free_vertices
+        assert m[3] in {f"{10 * 0.01 / 200 / 10**j:.3g}" for j in range(4)}
+    # at a forced depth a count step stops at a marginal error of 1/4
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    inst = IsingInstance(g, 2.0, np.zeros(3))
+    msg = r"certified marginal error 0.999 >= 0.25 at vertex 0"
+    with pytest.raises(C.CertifiedErrorTooLarge, match=msg):
+        approx_partition(inst, 0.1, depth_override=1)
 
 
 def test_check_rejects_when_node_budget_runs_out(monkeypatch, tmp_path, capsys):
@@ -473,7 +530,7 @@ def test_check_walks_the_pruned_frontier():
     inst = IsingInstance(g, 1.0, h)
     report = check_instance(inst, 0.01)
     assert report.accepted and report.depth == 4
-    assert report.tau == C._first_tau(inst, 0.01) / C.TAU_STEP
+    assert report.tau == 0.01 / (4 * 200) / 100
     assert report.nodes <= 2000
 
 

@@ -254,6 +254,17 @@ def assert_walk_matches_tree(inst, root, cut, h0):
     assert res.error == pytest.approx(certified_truncation_error(tree, beta), rel=1e-12, abs=0)
     assert res.node_count == tree.node_count
     assert res.paths_ok == ssm_certificate(tree, h0, beta, max_degree(g)).paths_ok
+    # a certificate walker has no bracket; an estimate walker walks the same
+    # +1 frontier, and its bracket holds both uniform frontiers, exactly so
+    # for beta >= 0, where the root marginal is monotone in every leaf
+    assert res.width is None
+    est = SawWalker(inst).walk(root, inst.boundary, cut)
+    assert (est.log_odds, est.error, est.paths_ok) == (res.log_odds, res.error, None)
+    minus = build_saw_tree(inst, root, cut, frontier_spin=-1)
+    gap = root_marginal(tree, beta) - root_marginal(minus, beta)
+    assert abs(gap) <= est.width + 1e-12
+    if beta >= 0:
+        assert est.width == pytest.approx(gap, rel=0, abs=1e-12)
 
 
 @st.composite
@@ -343,17 +354,22 @@ def pruned_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(pruned_cases())
 def test_pruned_walk_is_sound(case):
-    # the certified error bounds the marginal's distance from the exact one
-    # on any frontier; the pruned frontier is the one the tau rule defines,
-    # alone or together with a uniform cut (the frontier of check_instance)
+    # the certified error and the bracket width, which is at most the error,
+    # bound the marginal's distance from the exact one on any frontier; the
+    # pruned frontier is the one the tau rule defines, alone or together
+    # with a uniform cut (the frontier of check_instance)
     inst, root, cut = case
     exact = exact_marginal(inst, root)
     walker = SawWalker(inst)
     res = walker.walk(root, inst.boundary, cut)
     assert abs(res.marginal - exact) <= res.error + 1e-12
+    assert abs(res.marginal - exact) <= res.width + 1e-12
+    assert res.width <= res.error + 1e-12
     for tau_cut, tau in itertools.product((None, cut), (0.5, 0.1, 1e-3)):
         res = walker.walk(root, inst.boundary, tau_cut, tau)
         assert abs(res.marginal - exact) <= res.error + 1e-12
+        assert abs(res.marginal - exact) <= res.width + 1e-12
+        assert res.width <= res.error + 1e-12
         tree, depth = prune_reference(inst, root, tau, tau_cut)
         assert res.node_count == tree.node_count
         assert res.depth == depth
