@@ -242,72 +242,70 @@ def cmd_grow(args) -> tuple[dict, int]:
     return {"counts": counts}, EXIT_OK
 
 
+_INSTANCE = ("--instance", {"required": True})
+_EPS = ("--eps", {"type": float, "default": 0.1})
+_SEED = ("--seed", {"type": _seed, "default": 0})
+_DEPTH = ("--depth", {"default": None})
+_H0 = ("--h0", {"type": _finite, "default": None})
+
+#: Every subcommand, in help order: name -> (handler, its options after
+#: `--out`, each a flag and its `add_argument` keywords).
+SUBCOMMANDS = {
+    "gen-graph": (cmd_gen_graph, [("--n", {"type": int, "required": True}),
+                                  ("--delta", {"type": float, "required": True}), _SEED]),
+    "gen-fields": (cmd_gen_fields, [
+        ("--n", {"type": int, "required": True}),
+        ("--kind", {"choices": ["gaussian", "two_point"], "default": "gaussian"}),
+        ("--variance", {"type": float, "default": None}),
+        ("--magnitude", {"type": float, "default": None}), _SEED]),
+    "exact": (cmd_exact, [_INSTANCE, ("--max-free", {"type": int,
+                                                     "default": model.DEFAULT_ENUMERATION_CAP})]),
+    "count": (cmd_count, [_INSTANCE, _EPS, _DEPTH, _H0]),
+    "sample": (cmd_sample, [_INSTANCE, _EPS, _SEED, _DEPTH]),
+    "glauber": (cmd_glauber, [_INSTANCE, _EPS, _SEED]),
+    "check": (cmd_check, [_INSTANCE, _EPS, _H0]),
+    "perc": (cmd_perc, [("--config", {"required": True}),
+                        ("--trials", {"type": int, "default": 10000}), _SEED]),
+    "grow": (cmd_grow, [("--graph", {"required": True}), ("--v", {"type": int, "default": 0}),
+                        ("--lmax", {"type": int, "required": True}),
+                        ("--saw-tree", {"action": "store_true"})]),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    fn, options = SUBCOMMANDS[name]
+    p.set_defaults(fn=fn)
+    p.add_argument("--out", default=None)
+    for flag, kwargs in options:
+        p.add_argument(flag, **kwargs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, which `rfim -h` prints."""
     parser = argparse.ArgumentParser(prog="rfim")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", default=None)
-        return p
-
-    p = add("gen-graph", cmd_gen_graph)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
-
-    p = add("gen-fields", cmd_gen_fields)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=["gaussian", "two_point"], default="gaussian")
-    p.add_argument("--variance", type=float, default=None)
-    p.add_argument("--magnitude", type=float, default=None)
-    p.add_argument("--seed", type=_seed, default=0)
-
-    p = add("exact", cmd_exact)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--max-free", type=int, default=model.DEFAULT_ENUMERATION_CAP)
-
-    p = add("count", cmd_count)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--depth", default=None)
-    p.add_argument("--h0", type=_finite, default=None)
-
-    p = add("sample", cmd_sample)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--depth", default=None)
-
-    p = add("glauber", cmd_glauber)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--seed", type=_seed, default=0)
-
-    p = add("check", cmd_check)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--h0", type=_finite, default=None)
-
-    p = add("perc", cmd_perc)
-    p.add_argument("--config", required=True)
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--seed", type=_seed, default=0)
-
-    p = add("grow", cmd_grow)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--v", type=int, default=0)
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--saw-tree", action="store_true")
-
+    for name in SUBCOMMANDS:
+        _add_options(sub.add_parser(name), name)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, from the invoked subcommand's
+    parser alone (same prog, so the same help and errors) unless argv has
+    no subcommand first or leaves arguments over."""
+    if argv and argv[0] in SUBCOMMANDS:
+        p = _add_options(argparse.ArgumentParser(prog=f"rfim {argv[0]}"), argv[0])
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            args.subcommand = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def cli_dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:

@@ -121,6 +121,8 @@ def gaussian_from_uniform(u: np.ndarray, variance: float) -> np.ndarray:
 
 
 def gen_fields(n: int, spec: FieldSpec, seed: int) -> np.ndarray:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     if spec.kind == "gaussian":
         return gaussian_from_uniform(rng.random(n), spec.variance)

@@ -27,7 +27,7 @@ from rfim.model import (
     influence_bound,
 )
 from rfim.randgen import FieldSpec, gen_er_graph, gen_fields
-from rfim.sawtree import build_saw_tree, root_marginal
+from rfim.sawtree_oracle import build_saw_tree, root_marginal
 
 from conftest import random_connected_graph
 

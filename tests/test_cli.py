@@ -119,13 +119,11 @@ runpy.run_module("rfim.cli", run_name="__main__")
 """
 
 
-def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
-    # no subcommand loads scipy (randgen's ndtri is pure Python), and only
-    # grow, gen-graph and gen-fields (randgen's generator) load numpy: exact
-    # and perc enumerate in pure Python, and the warm instance has a mixing
-    # guarantee, so glauber runs a chain.  Only count, check and sample load
-    # the counting layer, glauber, gen-graph and gen-fields load no SAW layer,
-    # and none of count, check, sample and glauber loads dataclasses or inspect
+@pytest.fixture(scope="module")
+def subcommand_modules(tmp_path_factory):
+    """(argv, output, module names loaded) of a successful run of every
+    subcommand, grow with and without --saw-tree."""
+    tmp_path = tmp_path_factory.mktemp("subcommands")
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     path = tmp_path / "warm.json"
     M.save(IsingInstance(g, 0.1, np.array([3.0, -2.5, 4.0, 3.5])), str(path))
@@ -137,18 +135,32 @@ def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
     runs = [(sub, "--instance", str(path)) for sub in ("count", "check", "sample", "glauber", "exact")]
     runs += [("perc", "--config", str(tmp_path / "perc.json")),
              ("grow", "--graph", str(tmp_path / "g.json"), "--lmax", "2"),
+             ("grow", "--graph", str(tmp_path / "g.json"), "--lmax", "2", "--saw-tree"),
              ("gen-graph", "--n", "10", "--delta", "2"),
              ("gen-fields", "--n", "5")]
+    out = []
     for argv in runs:
-        sub = argv[0]
         res = subprocess.run(
             [sys.executable, "-c", MODULES_AT_EXIT, *argv],
             capture_output=True,
             text=True,
         )
         assert res.returncode == 0, res.stderr
-        assert json.loads(res.stdout)["manifest"]["subcommand"] == sub
-        modules = ast.literal_eval(res.stderr.splitlines()[-1])
+        obj = json.loads(res.stdout)
+        assert obj["manifest"]["subcommand"] == argv[0]
+        out.append((argv, obj, ast.literal_eval(res.stderr.splitlines()[-1])))
+    return out
+
+
+def test_saw_and_glauber_subcommands_do_not_import_scipy(subcommand_modules):
+    # no subcommand loads scipy (randgen's ndtri is pure Python), and only
+    # grow, gen-graph and gen-fields (randgen's generator) load numpy: exact
+    # and perc enumerate in pure Python, and the warm instance has a mixing
+    # guarantee, so glauber runs a chain.  Only count, check and sample load
+    # the counting layer, glauber, gen-graph and gen-fields load no SAW layer,
+    # and none of count, check, sample and glauber loads dataclasses or inspect
+    for argv, obj, modules in subcommand_modules:
+        sub = argv[0]
         assert ("rfim.counting" in modules) == (sub in ("count", "check", "sample")), sub
         assert ("numpy" in modules) == (sub in ("grow", "gen-graph", "gen-fields")), sub
         if sub in ("count", "check", "sample", "glauber"):
@@ -156,8 +168,21 @@ def test_saw_and_glauber_subcommands_do_not_import_scipy(tmp_path):
         if sub in ("glauber", "gen-graph", "gen-fields"):
             assert "rfim.sawtree" not in modules, sub
         if sub == "glauber":
-            assert len(json.loads(res.stdout)["config"]) == 4
+            assert len(obj["config"]) == 4
         assert [m for m in modules if m.startswith("scipy")] == [], sub
+
+
+def test_subcommands_load_only_the_kernels_they_run(subcommand_modules):
+    # the walk-based subcommands load neither the in-memory SAW tree nor the
+    # exact kernel, exact and perc load the kernel, and no subcommand loads
+    # the tree, which only the tests use
+    for argv, _, modules in subcommand_modules:
+        sub = argv[0]
+        assert "rfim.sawtree_oracle" not in modules, argv
+        if sub in ("count", "check", "sample", "glauber"):
+            assert "rfim.elimination" not in modules, sub
+        if sub in ("exact", "perc"):
+            assert "rfim.elimination" in modules, sub
 
 
 def test_glauber_without_guarantee_loads_no_numpy(tmp_path):
@@ -235,6 +260,58 @@ def test_spent_node_budget_exits_four(triangle_instance, tmp_path, monkeypatch, 
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: node budget ran out after"), err
+
+
+def test_one_subcommand_parser_matches_the_full_parser(capsys):
+    # cli_dispatch builds only the invoked subcommand's parser; its help is
+    # the full parser's help of that subcommand
+    import argparse
+
+    from rfim import cli
+
+    for name in cli.SUBCOMMANDS:
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args([name, "-h"])
+        assert info.value.code == 0
+        full = capsys.readouterr().out
+        assert full.startswith(f"usage: rfim {name} [-h] [--out OUT]"), full
+        one = cli._add_options(argparse.ArgumentParser(prog=f"rfim {name}"), name)
+        assert one.format_help() == full
+        assert cli.cli_dispatch([name, "-h"]) == 0
+        assert capsys.readouterr() == (full, "")
+
+
+@pytest.mark.parametrize("argv, code, last", [
+    ([], 1, "rfim: error: the following arguments are required: subcommand"),
+    (["-h"], 0, None),
+    (["bogus"], 1, "rfim: error: argument subcommand: invalid choice: 'bogus'"),
+    (["count"], 1, "rfim count: error: the following arguments are required: --instance"),
+    (["count", "--eps"], 1, "rfim count: error: argument --eps: expected one argument"),
+    # leftover arguments are the full parser's error, not the subcommand's
+    (["count", "--instance", "x", "bogus"], 1, "rfim: error: unrecognized arguments: bogus"),
+])
+def test_argument_errors_keep_their_exit_code_and_message(capsys, argv, code, last):
+    from rfim import cli
+
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert cli.cli_dispatch(argv) == code == (1 if info.value.code else 0)
+    assert capsys.readouterr() == full
+    if last is None:
+        assert full.out.startswith("usage: rfim [-h]") and full.err == ""
+    else:
+        assert full.out == "" and full.err.splitlines()[-1].startswith(last), full.err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+@pytest.mark.parametrize("sub", ["gen-graph", "gen-fields"])
+def test_generators_reject_n_below_one(sub, n):
+    # gen-fields --n 0 used to print an empty field list, and --n -2 numpy's
+    # "negative dimensions are not allowed"
+    argv = [sub, "--n", n, *(["--delta", "2"] if sub == "gen-graph" else [])]
+    res = run_cli(*argv)
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", "error: n must be >= 1\n")
 
 
 def test_input_errors_exit_one(tmp_path):

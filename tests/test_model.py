@@ -7,7 +7,7 @@ from array import array
 import numpy as np
 import pytest
 
-from rfim import model as M
+from rfim import elimination, model as M
 from rfim.glauber import glauber_sample
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_marginal, exact_partition, hamiltonian, influence_bound
@@ -84,8 +84,8 @@ def test_exact_partition_matches_linear_space_oracle(rng, monkeypatch):
     # log Z, the joint law of a region of 0-3 vertices (in a random order, so
     # the table's bits are reordered) and a conditional marginal; with
     # _TABLE_BITS 2 the wider plans are split by conditioning
-    for table_bits in (M._TABLE_BITS, 2):
-        monkeypatch.setattr(M, "_TABLE_BITS", table_bits)
+    for table_bits in (elimination._TABLE_BITS, 2):
+        monkeypatch.setattr(elimination, "_TABLE_BITS", table_bits)
         for i in range(16):
             n = int(rng.integers(2, 8))
             g = random_connected_graph(n, rng, extra_edges=int(rng.integers(0, 5)))

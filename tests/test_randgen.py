@@ -14,7 +14,7 @@ from rfim.randgen import (
     gen_fields,
     neighborhood_growth,
 )
-from rfim.sawtree import build_saw_tree
+from rfim.sawtree_oracle import build_saw_tree
 
 from conftest import random_connected_graph
 

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from rfim import sawtree
 from rfim.graph import Graph, max_degree
 from rfim.model import IsingInstance, exact_marginal, influence_bound
-from rfim.sawtree import (
-    NodeBudgetExhausted,
+from rfim.sawtree import NodeBudgetExhausted, SawWalker
+from rfim.sawtree_oracle import (
     SawTree,
-    SawWalker,
     build_saw_tree,
     certified_truncation_error,
     dump,
@@ -240,26 +239,30 @@ def test_deep_path_no_recursion_limit():
 
 
 def assert_walk_matches_tree(inst, root, cut, h0):
-    """The walker's one pass equals the reference tree's separate passes."""
+    """The walker's one pass equals the reference tree's separate passes:
+    the estimate walk's root log-odds and marginal, and the certificate
+    walk's error, node count and path rule."""
     g, beta = inst.graph, inst.beta
     tree = build_saw_tree(inst, root, cut)
     res = SawWalker(inst, h0).walk(root, inst.boundary, cut)
+    est = SawWalker(inst).walk(root, inst.boundary, cut)
     expected = root_log_odds(tree, beta)
     if math.isinf(expected):
-        assert res.log_odds == expected
+        assert est.log_odds == expected
     else:
-        assert res.log_odds == pytest.approx(expected, rel=0, abs=1e-12)
-    assert res.marginal == pytest.approx(root_marginal(tree, beta), rel=0, abs=1e-12)
+        assert est.log_odds == pytest.approx(expected, rel=0, abs=1e-12)
+    assert est.marginal == pytest.approx(root_marginal(tree, beta), rel=0, abs=1e-12)
     # the same products summed in another order
     assert res.error == pytest.approx(certified_truncation_error(tree, beta), rel=1e-12, abs=0)
     assert res.node_count == tree.node_count
     assert res.paths_ok == ssm_certificate(tree, h0, beta, max_degree(g)).paths_ok
-    # a certificate walker has no bracket; an estimate walker walks the same
-    # +1 frontier, and its bracket holds both uniform frontiers, exactly so
-    # for beta >= 0, where the root marginal is monotone in every leaf
-    assert res.width is None
-    est = SawWalker(inst).walk(root, inst.boundary, cut)
-    assert (est.log_odds, est.error, est.paths_ok) == (res.log_odds, res.error, None)
+    # a certificate walker folds no log-odds and has no bracket; an
+    # estimate walker walks the same +1 frontier, and its bracket holds both
+    # uniform frontiers, exactly so for beta >= 0, where the root marginal
+    # is monotone in every leaf
+    assert res.log_odds is None and res.width is None
+    assert (est.error, est.node_count, est.depth, est.paths_ok) == (
+        res.error, res.node_count, res.depth, None)
     minus = build_saw_tree(inst, root, cut, frontier_spin=-1)
     gap = root_marginal(tree, beta) - root_marginal(minus, beta)
     assert abs(gap) <= est.width + 1e-12
