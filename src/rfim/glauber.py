@@ -55,19 +55,25 @@ def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> list[int] | No
 
 
 def _conditional_table(inst: IsingInstance) -> tuple[list[float], list[int]]:
-    """Every heat-bath conditional of the instance, O(n + m) entries.
+    """Every heat-bath conditional of the instance, one row per distinct
+    (field, degree) pair: O(distinct rows) entries, at most O(n + m).
 
     P(sigma_x = +1 | neighbor spin sum s) is table[centre[x] + s] for s in
-    [-deg x, deg x], computed entry by entry with the expression of
-    `conditional_plus_probability`, so both agree bit for bit.
+    [-deg x, deg x]; vertices with the same float field and degree share a
+    row (+-h fields need a few, Gaussian ones one per vertex), each entry
+    computed with the expression of `conditional_plus_probability`, so both
+    agree bit for bit.
     """
     b2 = 2.0 * inst.beta
-    table, centre = [], []
+    table, centre, centre_of = [], [], {}
     for h, neighbours in zip(map(float, inst.fields), inst.graph.adjacency):
         deg = len(neighbours)
-        centre.append(len(table) + deg)
-        h2 = 2.0 * h
-        table += [expit(h2 + b2 * s) for s in range(-deg, deg + 1)]
+        c = centre_of.get((h, deg))
+        if c is None:
+            c = centre_of[h, deg] = len(table) + deg
+            h2 = 2.0 * h
+            table += [expit(h2 + b2 * s) for s in range(-deg, deg + 1)]
+        centre.append(c)
     return table, centre
 
 
@@ -93,7 +99,8 @@ def run_chains(inst: IsingInstance, steps: int, n_chains: int, seed: int) -> np.
 
 
 def _chains(inst: IsingInstance, steps: int, n_chains: int, seed: int) -> list[list[int]]:
-    """`run_chains`' configurations as lists of spins."""
+    """`run_chains`' configurations as lists of spins; an update reads its
+    vertex's shared row centre and its neighbours with one lookup."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if n_chains < 0:
@@ -105,16 +112,16 @@ def _chains(inst: IsingInstance, steps: int, n_chains: int, seed: int) -> list[l
     if not free or steps == 0:
         return [start.copy() for _ in range(n_chains)]
     k = len(free)
-    adjacency = inst.graph.adjacency
     table, centre = _conditional_table(inst)
+    rows = list(zip(centre, inst.graph.adjacency))
     random, floor = Random(seed).random, math.floor
     configs = []
     for _ in range(n_chains):
         config = start.copy()
         for _ in range(steps):
             x = free[floor(random() * k)]
-            t = centre[x]
-            for y in adjacency[x]:
+            t, nb = rows[x]
+            for y in nb:
                 t += config[y]
             config[x] = 1 if random() < table[t] else -1
         configs.append(config)

@@ -29,21 +29,27 @@ class Graph(NamedTuple):
 
     @staticmethod
     def from_edges(n: int, edges) -> "Graph":
-        adj = [set() for _ in range(n)]
-        seen = set()
+        """Edges in any order.  Each neighbour list is sorted in place, so
+        an edge given twice, either way round, shows up as two equal
+        neighbours (the smallest such (a, b) is named); out-of-range
+        endpoints and self-loops are rejected first, as the edges are read."""
+        adj = [[] for _ in range(n)]
         for a, b in edges:
             a, b = int(a), int(b)
             if not (0 <= a < n and 0 <= b < n):
                 raise GraphFormatError(f"edge ({a},{b}) out of range for n={n}")
             if a == b:
                 raise GraphFormatError(f"self-loop at vertex {a}")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge {key}")
-            seen.add(key)
-            adj[a].add(b)
-            adj[b].add(a)
-        return Graph(n, tuple(tuple(sorted(s)) for s in adj))
+            adj[a].append(b)
+            adj[b].append(a)
+        for a, neighbours in enumerate(adj):
+            neighbours.sort()
+            prev = -1
+            for b in neighbours:
+                if b == prev:
+                    raise GraphFormatError(f"duplicate edge {(a, b)}")
+                prev = b
+        return Graph(n, tuple(map(tuple, adj)))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -102,9 +108,9 @@ def is_int(x) -> bool:
 
 
 def from_json_dict(obj: dict) -> Graph:
-    """The graph of a parsed rfim-graph-v1 object.  `n` and every edge
-    endpoint must be JSON integers: a float such as 0.5 or a boolean is
-    rejected, not truncated or read as 0/1."""
+    """The graph of a parsed rfim-graph-v1 object.  `n` and every edge endpoint
+    must be JSON integers (an endpoint exactly an `int`, as `json.load` gives):
+    a float such as 0.5 or a boolean is rejected, not truncated or read as 0/1."""
     if not isinstance(obj, dict) or obj.get("format") != GRAPH_FORMAT:
         raise GraphFormatError(f"expected format {GRAPH_FORMAT!r}")
     n = obj.get("n")
@@ -114,7 +120,7 @@ def from_json_dict(obj: dict) -> Graph:
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list of vertex pairs")
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(map(is_int, e))):
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise GraphFormatError(f"malformed edge entry {e!r}")
     return Graph.from_edges(n, edges)
 

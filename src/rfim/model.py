@@ -78,8 +78,9 @@ class IsingInstance(Frozen):
     `fields` is any length-n sequence of finite reals (a list, a tuple, an
     `array.array`, a numpy array), stored as given: an instance built from
     a numpy array keeps that array.  `boundary` maps a subset of vertices to fixed spins in
-    {-1, +1}, each a Python or numpy integer: not a bool and not a float,
-    which the chains could not use as spins; it defaults to a new empty dict.
+    {-1, +1}; vertices and spins are Python or numpy integers (a spin not a
+    bool, and neither a float, which the chains could not use), and are
+    stored as Python ints in a new dict, so results hold only Python ints.
     """
 
     def __init__(
@@ -89,8 +90,6 @@ class IsingInstance(Frozen):
         fields: Sequence[float],
         boundary: dict[int, int] | None = None,
     ):
-        if boundary is None:
-            boundary = {}
         n = graph.n
         try:
             size = len(fields)
@@ -107,16 +106,22 @@ class IsingInstance(Frozen):
                 ok = False
             if not ok:
                 raise ValueError(f"field at vertex {v} must be finite, got {x!r}")
-        for v, s in boundary.items():
+        spins = {}
+        for v, s in (boundary or {}).items():
+            try:  # operator.index takes numpy integers, not floats
+                v = operator.index(v)
+            except TypeError:
+                raise ValueError(f"boundary vertex {v!r} is not an integer") from None
             if not 0 <= v < n:
                 raise ValueError(f"boundary vertex {v} out of range")
-            try:  # operator.index takes numpy integers, not floats
-                ok = not isinstance(s, bool) and operator.index(s) in (-1, 1)
+            try:
+                spin = operator.index(s)
             except TypeError:
-                ok = False
-            if not ok:
+                spin = None
+            if isinstance(s, bool) or spin not in (-1, 1):
                 raise ValueError(f"boundary spin at {v} must be +-1, got {s!r}")
-        self.__dict__.update(graph=graph, beta=beta, fields=fields, boundary=boundary)
+            spins[v] = spin
+        self.__dict__.update(graph=graph, beta=beta, fields=fields, boundary=spins)
 
     @property
     def free_vertices(self) -> list[int]:

@@ -162,7 +162,7 @@ def neighborhood_growth(
         return counts
     from .sawtree import SawWalker  # here, so generation loads no SAW layer
 
-    # a truncated walk counts the nodes at depths 0..cut
-    walker = SawWalker(IsingInstance(g, 0.0, np.zeros(g.n)))
+    # a truncated walk counts the nodes at depths 0..cut; made with h0, it folds no log-odds
+    walker = SawWalker(IsingInstance(g, 0.0, np.zeros(g.n)), h0=0.0)
     totals = [walker.walk(v, {}, d).node_count for d in range(ell_max + 1)]
     return [b - a for a, b in zip(totals, totals[1:])]

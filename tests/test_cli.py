@@ -668,3 +668,14 @@ def test_non_integer_graph_entries_give_one_error_line(tmp_path, bad):
         assert res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: malformed"), res.stderr
+
+
+def test_duplicate_edge_file_gives_one_error_line(tmp_path):
+    gobj = {"format": G.GRAPH_FORMAT, "n": 4, "edges": [[0, 1], [1, 2], [2, 1], [2, 3]]}
+    (tmp_path / "g.json").write_text(json.dumps(gobj))
+    ipath = tmp_path / "inst.json"
+    ipath.write_text(json.dumps({"format": "rfim-instance-v1", "graph": "g.json", "beta": 0.5,
+                                 "fields": [1.0] * 4, "boundary": {}}))
+    res = run_cli("count", "--instance", str(ipath))
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr == f"error: malformed instance {ipath}: duplicate edge (1, 2)\n"

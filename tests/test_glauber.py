@@ -185,25 +185,62 @@ def test_first_chain_independent_of_chain_count(rng):
         assert np.array_equal(run_chains(inst, 200, k, seed=11)[0], single)
 
 
-def test_run_chains_matches_reference_replay(rng):
+def assert_chains_replay(inst, steps, chains, seed):
     # the documented stream driven through conditional_plus_probability: per
     # update the vertex, as random.choices picks it, then its uniform
+    got = run_chains(inst, steps, chains, seed)
+    ref_rng = random.Random(seed)
+    free = inst.free_vertices
+    for c in range(chains):
+        config = np.full(inst.graph.n, 1)
+        for v, s in inst.boundary.items():
+            config[v] = s
+        for _ in range(steps):
+            x = ref_rng.choices(free)[0]
+            u = ref_rng.random()
+            config[x] = 1 if u < conditional_plus_probability(inst, config, x) else -1
+        assert got[c].tolist() == config.tolist()
+
+
+def test_run_chains_matches_reference_replay(rng):
     for _ in range(5):
         n = int(rng.integers(2, 9))
         g = random_connected_graph(n, rng)
         inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n), {0: -1})
-        steps, chains, seed = 30, 3, int(rng.integers(1000))
-        got = run_chains(inst, steps, chains, seed)
-        ref_rng = random.Random(seed)
-        free = inst.free_vertices
-        for c in range(chains):
-            config = np.full(n, 1)
-            config[0] = -1
-            for _ in range(steps):
-                x = ref_rng.choices(free)[0]
-                u = ref_rng.random()
-                config[x] = 1 if u < conditional_plus_probability(inst, config, x) else -1
-            assert got[c].tolist() == config.tolist()
+        assert_chains_replay(inst, 30, 3, int(rng.integers(1000)))
+
+
+def row_pairs(inst):
+    return {(float(h), len(nb)) for h, nb in zip(inst.fields, inst.graph.adjacency)}
+
+
+def test_shared_conditional_rows_match_reference_replay(rng):
+    # two-point fields (and signed zeros, which key one row) share a row per
+    # (h, degree) pair, and the chains still follow the exact conditional
+    for _ in range(6):
+        n = int(rng.integers(4, 14))
+        g = random_connected_graph(n, rng, extra_edges=5)
+        h = float(rng.uniform(0.2, 3.0))
+        inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)),
+                             rng.choice([h, -h, 0.0, -0.0], n), {0: -1, n - 1: 1})
+        table, centre = GL._conditional_table(inst)
+        pairs = row_pairs(inst)
+        assert len(set(centre)) == len(pairs)
+        assert len(table) == sum(2 * d + 1 for _, d in pairs)
+        assert_chains_replay(inst, 40, 3, int(rng.integers(1000)))
+    c6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    inst = IsingInstance(c6, 0.5, [1.5, -1.5, 0.0, -0.0, 1.5, -1.5], {5: 1})
+    table, centre = GL._conditional_table(inst)
+    assert len(table) == 3 * 5 and centre == [2, 7, 12, 12, 2, 7]
+    assert_chains_replay(inst, 60, 4, 7)
+
+
+def test_gaussian_fields_keep_one_row_per_vertex(rng):
+    g = random_connected_graph(50, rng, extra_edges=40)
+    inst = IsingInstance(g, 0.4, rng.normal(size=50))
+    table, centre = GL._conditional_table(inst)
+    assert len(set(centre)) == len(row_pairs(inst)) == 50
+    assert len(table) == sum(2 * len(nb) + 1 for nb in g.adjacency)
 
 
 def test_run_chains_memory_linear():

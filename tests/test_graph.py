@@ -79,3 +79,46 @@ def test_adjacency_sorted(rng):
     g = random_connected_graph(10, rng, extra_edges=5)
     for nbrs in g.adjacency:
         assert list(nbrs) == sorted(nbrs)
+
+
+def test_from_edges_matches_set_based_reference(rng):
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        pairs = {tuple(sorted(int(x) for x in rng.integers(n, size=2)))
+                 for _ in range(int(rng.integers(0, 3 * n)))}
+        edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in pairs if a != b]
+        rng.shuffle(edges)
+        want = [set() for _ in range(n)]
+        for a, b in edges:
+            want[a].add(b)
+            want[b].add(a)
+        want = tuple(tuple(sorted(s)) for s in want)
+        for given in (edges, [(np.int64(a), np.int32(b)) for a, b in edges]):
+            g = Graph.from_edges(n, given)
+            assert g == Graph(n, want)
+            assert all(type(b) is int for nbrs in g.adjacency for b in nbrs)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (1, 2), (1, 0)], "duplicate edge (0, 1)"),
+    ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+    ([(0, 1), (1, 3)], "edge (1,3) out of range for n=3"),
+    ([(0, -1)], "edge (0,-1) out of range for n=3"),
+    # checked as each edge is read, so before any duplicate is found
+    ([(0, 1), (1, 0), (1, 1)], "self-loop at vertex 1"),
+    # of several duplicates, the smallest (a, b) with a < b is named
+    ([(1, 2), (2, 1), (0, 1), (1, 0)], "duplicate edge (0, 1)"),
+])
+def test_from_edges_error_messages(edges, message):
+    with pytest.raises(GraphFormatError) as err:
+        Graph.from_edges(3, edges)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("entry", [[True, 1], [0, False], [0.0, 1], [0, 1.5], [0, 1, 2], [0],
+                                   (0, 1), "01", None, {"0": 1}])
+def test_from_json_dict_rejects_non_integer_pairs(entry):
+    obj = {"format": G.GRAPH_FORMAT, "n": 3, "edges": [[0, 1], entry]}
+    with pytest.raises(GraphFormatError) as err:
+        G.from_json_dict(obj)
+    assert str(err.value) == f"malformed edge entry {entry!r}"

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from rfim import elimination, model as M
+from rfim.counting import approx_sample
 from rfim.glauber import glauber_sample
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_marginal, exact_partition, hamiltonian, influence_bound
@@ -344,6 +346,20 @@ def test_boundary_spins_are_integers():
             IsingInstance(path3, 0.1, [4.0] * 3, {0: bad, 2: 1})
     inst = IsingInstance(path3, 0.1, [4.0] * 3, {0: np.int64(1), 2: np.int8(-1)})
     assert glauber_sample(inst, 0.1, 0) in ([1, s, -1] for s in (-1, 1))
+
+
+def test_numpy_boundary_is_stored_as_python_ints():
+    # numpy spins used to leak into results, which json.dumps then rejected
+    path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    inst = IsingInstance(path3, 0.1, [4.0, -4.0, 4.0], {np.int64(1): np.int64(-1)})
+    assert inst.boundary == {1: -1}
+    assert all(type(x) is int for x in [*inst.boundary, *inst.boundary.values()])
+    for got in (glauber_sample(inst, 0.1, 0), approx_sample(inst, 0.1, 0).config):
+        assert type(got) is list and all(type(s) is int for s in got)
+        assert json.loads(json.dumps(got)) == got
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValueError, match="boundary vertex"):
+            IsingInstance(path3, 0.1, [4.0] * 3, {bad: 1})
 
 
 def test_instance_fields_any_finite_sequence_stored_as_given():
