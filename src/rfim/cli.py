@@ -145,7 +145,7 @@ def cmd_count(args) -> tuple[dict, int]:
         "certified_rel_err": res.total_certified_relative_error,
         "depth": -1 if res.depth_used is None else res.depth_used,
         "tau": res.tau,
-        "accepted": bool(report.accepted),
+        "accepted": report.accepted,
         "per_vertex_err": res.per_vertex_certified_error,
     }
     return obj, EXIT_OK
@@ -182,7 +182,7 @@ def cmd_check(args) -> tuple[dict, int]:
     inst = _read("instance", args.instance, model.load)
     report = counting.check_instance(inst, args.eps, h0=args.h0)
     obj = {k: "inf" if isinstance(x, float) and not math.isfinite(x) else x
-           for k, x in vars(report).items()}
+           for k, x in report._asdict().items()}
     return obj, EXIT_OK if report.accepted else EXIT_REJECTED
 
 

@@ -1,6 +1,7 @@
 """End-to-end approximate counting (telescoping product over sequentially
 fixed spins) and sequential approximate sampling, with per-step certified
-error accounting, and the whole-instance acceptance check.
+error accounting, and the whole-instance acceptance check with its record
+`CertificateReport` and its decay rate `rate_constant`.
 
 Counting and sampling fix the free spins one at a time, in `free_vertices`
 order, and certify each step on its own (`_step`): the step walks its
@@ -25,8 +26,8 @@ import random
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import max_degree
-from .model import CertificationFailed, IsingInstance, check_eps, hamiltonian
-from .sawtree import CertificateReport, NodeBudgetExhausted, SawWalker, rate_constant
+from .model import CertificationFailed, IsingInstance, check_eps, hamiltonian, influence_bound
+from .sawtree import NodeBudgetExhausted, SawWalker
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,6 +79,44 @@ class _Step(NamedTuple):
     error: float  # certified error of the step
     tau: float | None  # the tau it fit at; None at a forced depth
     depth: int  # its walk's SawWalk.depth
+
+
+class CertificateReport(NamedTuple):
+    """Outcome of the strong-spatial-mixing certificate check.
+
+    `influence_ok` is the influence condition M(delta, h0, beta) < delta^-2;
+    `paths_ok` asks that every root-to-frontier path has at least half of its
+    free vertices with |h| >= h0; `rate` is the implied decay rate when the
+    influence condition holds.  The aggregation fields are set by the
+    whole-instance checker and stay None for a single tree.  The checker's
+    frontier is the uniform cut at `depth` together with the influence
+    threshold `tau`; its `paths_ok` is read on that walked frontier, and
+    `nodes` counts the walker nodes it walked.
+    """
+
+    influence_ok: bool
+    paths_ok: bool
+    rate: float | None
+    h0: float
+    accepted: bool = False
+    reason: str = ""
+    certified_rel_err: float | None = None
+    depth: int | None = None
+    tau: float | None = None
+    nodes: int | None = None
+
+
+def rate_constant(delta: int, h0: float, beta: float) -> float | None:
+    """Certified decay rate -1/2 log(M(delta,h0,beta) * delta^2), or None when
+    the influence condition M < delta^-2 fails (or M is NaN)."""
+    if delta < 1:
+        return math.inf
+    m_scaled = influence_bound(delta, h0, beta) * delta * delta
+    if not m_scaled < 1.0:
+        return None
+    if m_scaled == 0.0:
+        return math.inf
+    return -0.5 * math.log(m_scaled)
 
 
 def default_h0(delta: int, beta: float) -> float:
@@ -280,37 +319,33 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     if h0 is None:
         h0 = default_h0(delta, inst.beta)
     rate = rate_constant(delta, h0, inst.beta)
-    report = CertificateReport(influence_ok=rate is not None, paths_ok=False, rate=rate, h0=h0,
-                               nodes=0)
     if rate is None:
-        report.reason = f"influence condition fails at h0={h0:.4g}"
-        return report
+        return CertificateReport(False, False, None, h0,
+                                 reason=f"influence condition fails at h0={h0:.4g}", nodes=0)
     # the paper's ell0 = ceil(log max(n, 2) / rate) never binds: for
     # eps < 1, 4n/eps > max(n, 2), and at rate = inf both terms give depth 1
-    report.depth = depth = choose_depth(inst.graph.n, eps, rate)
+    depth = choose_depth(inst.graph.n, eps, rate)
     cut = _forced_cut(inst, depth)
-    report.tau = tau = eps / (4.0 * max(inst.graph.n, 1)) / 100.0
+    tau = eps / (4.0 * max(inst.graph.n, 1)) / 100.0
 
     walker = SawWalker(inst, h0)
     free = inst.free_vertices
     try:
         walks = [walker.walk(v, inst.boundary, cut, tau) for v in free]
     except NodeBudgetExhausted as e:
-        report.reason = f"{e} at depth {depth}"
-        return report
-    finally:
-        report.nodes = walker.nodes
-    report.paths_ok = all(w.paths_ok for w in walks)
+        return CertificateReport(True, False, rate, h0, reason=f"{e} at depth {depth}",
+                                 depth=depth, tau=tau, nodes=walker.nodes)
 
     per_vertex = [w.error for w in walks]
     if any(e >= STEP_ERROR_LIMIT for e in per_vertex):
         total = math.inf
     else:
         total = math.fsum(e / (0.5 - e) for e in per_vertex)
-    report.certified_rel_err = float(total)
-    report.accepted = total <= eps
-    if not report.accepted:
+    accepted = total <= eps
+    reason = ""
+    if not accepted:
         e, v = max(zip(per_vertex, free), key=lambda ev: ev[0])
-        report.reason = (f"aggregated certified error {total:.3g} > {eps}; "
-                         f"largest at vertex {v}, certified error {e:.3g}")
-    return report
+        reason = (f"aggregated certified error {total:.3g} > {eps}; "
+                  f"largest at vertex {v}, certified error {e:.3g}")
+    return CertificateReport(True, all(w.paths_ok for w in walks), rate, h0, accepted, reason,
+                             total, depth, tau, walker.nodes)

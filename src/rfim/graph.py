@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from operator import index
 from typing import NamedTuple
 
 GRAPH_FORMAT = "rfim-graph-v1"
@@ -31,11 +32,15 @@ class Graph(NamedTuple):
     def from_edges(n: int, edges) -> "Graph":
         """Edges in any order.  Each neighbour list is sorted in place, so
         an edge given twice, either way round, shows up as two equal
-        neighbours (the smallest such (a, b) is named); out-of-range
-        endpoints and self-loops are rejected first, as the edges are read."""
+        neighbours (the smallest such (a, b) is named); endpoints that are
+        not integers (numpy integers are), out-of-range endpoints and
+        self-loops are rejected first, as the edges are read."""
         adj = [[] for _ in range(n)]
         for a, b in edges:
-            a, b = int(a), int(b)
+            try:
+                a, b = index(a), index(b)
+            except TypeError:
+                raise GraphFormatError(f"edge ({a},{b}) has a non-integer endpoint") from None
             if not (0 <= a < n and 0 <= b < n):
                 raise GraphFormatError(f"edge ({a},{b}) out of range for n={n}")
             if a == b:
@@ -71,11 +76,14 @@ def max_degree(g: Graph) -> int:
 
 
 def bfs_distances(g: Graph, source) -> list[int]:
-    """Distances from a vertex or from a set of vertices; UNREACHABLE where no path."""
+    """Distances from a vertex (an int or a numpy integer) or from an iterable
+    of vertices; UNREACHABLE where no path."""
     dist = [UNREACHABLE] * g.n
     q = deque()
-    if isinstance(source, int):
-        source = [source]
+    try:
+        source = [index(source)]
+    except TypeError:
+        pass
     for s in source:
         if not 0 <= s < g.n:
             raise IndexError(f"vertex {s} out of range")

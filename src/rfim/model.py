@@ -167,9 +167,9 @@ def exact_marginal(
     inst: IsingInstance,
     v: int,
     extra: dict[int, int] | None = None,
-    max_free: int = DEFAULT_ENUMERATION_CAP,
 ) -> float:
-    """Exact P(sigma_v = +1 | boundary, extra), summed over the other free spins."""
+    """Exact P(sigma_v = +1 | boundary, extra), summed over the other free
+    spins, of which there may be at most DEFAULT_ENUMERATION_CAP."""
     from .elimination import _region_log_z
 
     cond = inst.with_extra_boundary(extra or {})
@@ -177,22 +177,19 @@ def exact_marginal(
         raise ValueError(f"vertex {v} is fixed by the conditioning")
     if not 0 <= v < cond.graph.n:
         raise ValueError(f"vertex {v} out of range")
-    _check_cap(len(cond.free_vertices) - 1, max_free)
+    _check_cap(len(cond.free_vertices) - 1, DEFAULT_ENUMERATION_CAP)
     log_minus, log_plus = _region_log_z(cond, [v])
     return expit(log_plus - log_minus)
 
 
-def exact_region_law(
-    inst: IsingInstance,
-    region: list[int],
-    max_free: int = DEFAULT_ENUMERATION_CAP,
-) -> dict[tuple[int, ...], float]:
+def exact_region_law(inst: IsingInstance, region: list[int]) -> dict[tuple[int, ...], float]:
     """Exact joint law of the spins on `region` (distinct free vertices), as
-    a dict from spin tuples to probabilities."""
+    a dict from spin tuples to probabilities; at most DEFAULT_ENUMERATION_CAP
+    free vertices."""
     from .elimination import _region_log_z
 
     free = inst.free_vertices
-    _check_cap(len(free), max_free)
+    _check_cap(len(free), DEFAULT_ENUMERATION_CAP)
     for v in region:
         if v not in free:
             raise ValueError(f"region vertex {v} is not free")

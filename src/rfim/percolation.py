@@ -220,8 +220,7 @@ def _explore(
             key = (x, tuple(sorted(sigma[i].items())))
             p = memo.get(key)
             if p is None:
-                p = exact_marginal(unconditioned, x, extra=sigma[i],
-                                   max_free=EXPLORATION_MAX_FREE)
+                p = exact_marginal(unconditioned, x, extra=sigma[i])
                 memo[key] = p
             ps.append(p)
         for i in (0, 1):

@@ -9,9 +9,11 @@ instance boundary), and truncation-frontier nodes (spin set by policy).
 `SawWalker` computes everything the counting layer needs from one
 depth-first walk that keeps only the walk stack.  Its frontier is a uniform
 cut depth, an influence threshold tau (a branch is expanded only while the
-influence product along its path stays at least tau), or both.
-`CertificateReport` and `rate_constant` are the check's.  The tree built in
-memory, which the walker is tested against, is `rfim.sawtree_oracle`.
+influence product along its path stays at least tau), or both.  The module
+is the walker alone: the check, which reads the walker's path rule, lives
+in `rfim.counting` with its `CertificateReport` and `rate_constant`, and
+the tree built in memory, which the walker is tested against, in
+`rfim.sawtree_oracle`.
 """
 
 from __future__ import annotations
@@ -105,9 +107,10 @@ class SawWalker:
         self.h2 = [2.0 * x for x in h]
         self.influence = [influence_bound(g.degree(v), h[v], inst.beta) for v in range(g.n)]
         self.h0 = h0
-        # a vertex counts as large when |h| >= h0; without h0 all do, so the
-        # path rule never fails and is reported as None
-        self.large = [1] * g.n if h0 is None else [int(abs(x) >= h0) for x in h]
+        # the path rule's gain of a vertex: +1 when |h| >= h0, else -1; a
+        # frontier path is short when its free vertices' gains sum below 0.
+        # Without h0 all gain +1, so no path is short and the rule is None
+        self.gain = [1] * g.n if h0 is None else [1 if abs(x) >= h0 else -1 for x in h]
         # a frontier leaf's -1 spin moves its parent's log-odds up (beta < 0)
         # or down (beta > 0) by 2|b2|; by 0 in a certificate walker
         self._up = -2.0 * b2 if h0 is None and b2 < 0 else 0.0
@@ -134,9 +137,10 @@ class SawWalker:
 
         Iterative depth-first walk in tree order.  Each expanded node keeps a
         frame (vertex, parent, neighbour iterator, running log-odds, bracket
-        offsets, influence product down to it, free and large counts on its
-        path); a node's log-odds is final when its neighbours are exhausted
-        and is then folded into its parent's.  The certified error sums,
+        offsets, influence product down to it, and the sum of the gains on
+        its path, +1 per free vertex with |h| >= h0 and -1 per other); a
+        node's log-odds is final when its neighbours are exhausted and is
+        then folded into its parent's.  The certified error sums,
         over frontier leaves, the influence products of their expanded
         ancestors; the bound of `certified_truncation_error` holds leaf by
         leaf, so it holds for any frontier.
@@ -163,7 +167,7 @@ class SawWalker:
             self.nodes += 1
             return SawWalk(math.inf if est else None, 1.0, 1, paths_ok, 0, 1.0 if est else None)
 
-        adjacency, influence, large = self.adjacency, self.influence, self.large
+        adjacency, influence, gain = self.adjacency, self.influence, self.gain
         h2, b2, up, down = self.h2, self.b2, self._up, self._down
         # a SAW has fewer than n edges, so an untruncated walk never reaches n
         last = self.n if cut_depth is None else cut_depth - 1
@@ -176,13 +180,13 @@ class SawWalker:
         frames = []
         count = 1
         total = 0.0
-        short = False  # some frontier path has under half its free vertices large
+        short = False  # some frontier path has under half its free vertices with |h| >= h0
 
         v, parent, depth, deepest = root, -1, 0, 0
         it = iter(adjacency[root])
         acc, dh, dl = h2[root], 0.0, 0.0
         prod = influence[root]
-        n_free, n_large = 1, large[root]
+        path_gain = gain[root]
         try:
             while True:
                 for w in it:
@@ -200,14 +204,14 @@ class SawWalker:
                         acc += b2 * s
                     elif depth == last or prod < tau:
                         total += prod
-                        short = short or 2 * n_large < n_free
+                        short = short or path_gain < 0
                         acc += b2  # frontier leaf, fixed to +1
                         dh += up
                         dl += down
                     else:
                         if count > limit:
                             raise NodeBudgetExhausted(self.nodes + count)
-                        frames.append((v, parent, it, acc, dh, dl, prod, n_free, n_large))
+                        frames.append((v, parent, it, acc, dh, dl, prod, path_gain))
                         parent, v = v, w
                         depth += 1
                         if depth > deepest:
@@ -217,8 +221,7 @@ class SawWalker:
                         it = iter(adjacency[w])
                         acc, dh, dl = h2[w], 0.0, 0.0
                         prod *= influence[w]
-                        n_free += 1
-                        n_large += large[w]
+                        path_gain += gain[w]
                         break
                 else:
                     if not frames:
@@ -235,7 +238,7 @@ class SawWalker:
                     pos[v] = -1
                     path.pop()
                     depth -= 1
-                    v, parent, it, acc_p, dh_p, dl_p, prod, n_free, n_large = frames.pop()
+                    v, parent, it, acc_p, dh_p, dl_p, prod, path_gain = frames.pop()
                     acc = acc_p + term
                     dh += dh_p
                     dl += dl_p
@@ -250,55 +253,3 @@ class SawWalker:
         # on the side where neither sigmoid rounds to 1, as in influence_bound
         width = expit(-lo) - expit(-hi) if lo > 0 else expit(hi) - expit(lo)
         return SawWalk(acc, min(total, 1.0), count, None, deepest + 1, width)
-
-
-class CertificateReport:
-    """Outcome of the strong-spatial-mixing certificate check.
-
-    `influence_ok` is the influence condition M(delta, h0, beta) < delta^-2;
-    `paths_ok` asks that every root-to-frontier path has at least half of its
-    free vertices with |h| >= h0; `rate` is the implied decay rate when the
-    influence condition holds.  The aggregation fields are filled by the
-    whole-instance checker and stay None for a single tree.  The checker's
-    frontier is the uniform cut at `depth` together with the influence
-    threshold `tau`; its `paths_ok` is read on that walked frontier, and
-    `nodes` counts the walker nodes it walked.  Its attributes are exactly
-    these ten fields, so `vars(report)` is the report.
-    """
-
-    def __init__(
-        self,
-        influence_ok: bool,
-        paths_ok: bool,
-        rate: float | None,
-        h0: float,
-        accepted: bool = False,
-        reason: str = "",
-        certified_rel_err: float | None = None,
-        depth: int | None = None,
-        tau: float | None = None,
-        nodes: int | None = None,
-    ):
-        self.influence_ok = influence_ok
-        self.paths_ok = paths_ok
-        self.rate = rate
-        self.h0 = h0
-        self.accepted = accepted
-        self.reason = reason
-        self.certified_rel_err = certified_rel_err
-        self.depth = depth
-        self.tau = tau
-        self.nodes = nodes
-
-
-def rate_constant(delta: int, h0: float, beta: float) -> float | None:
-    """Certified decay rate -1/2 log(M(delta,h0,beta) * delta^2), or None when
-    the influence condition M < delta^-2 fails (or M is NaN)."""
-    if delta < 1:
-        return math.inf
-    m_scaled = influence_bound(delta, h0, beta) * delta * delta
-    if not m_scaled < 1.0:
-        return None
-    if m_scaled == 0.0:
-        return math.inf
-    return -0.5 * math.log(m_scaled)

@@ -10,7 +10,7 @@ import math
 from typing import NamedTuple
 
 from .model import IsingInstance, expit, influence_bound
-from .sawtree import CertificateReport, rate_constant
+from .counting import CertificateReport, rate_constant
 
 
 class SawNode:

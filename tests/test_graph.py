@@ -25,6 +25,12 @@ def test_distance_examples():
     assert G.bfs_distances(two, 0)[1] == UNREACHABLE
     with pytest.raises(IndexError):
         G.bfs_distances(path, 5)
+    # a numpy integer is one vertex, as an int is
+    assert G.bfs_distances(path, np.int64(0)) == [0, 1, 2]
+    assert G.bfs_distances(path, np.int32(1)) == [1, 0, 1]
+    assert G.bfs_distances(path, [np.int64(0), 2]) == [0, 1, 0]
+    with pytest.raises(IndexError):
+        G.bfs_distances(path, np.int64(5))
 
 
 def test_sphere_examples():
@@ -33,6 +39,8 @@ def test_sphere_examples():
     assert G.sphere(cycle6, 2, 0) == {2}
     k4 = Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     assert G.sphere(k4, 0, 1) == {1, 2, 3}
+    assert G.sphere(cycle6, np.int64(0), 3) == {3}
+    assert G.sphere(k4, np.int32(2), 1) == {0, 1, 3}
 
 
 def test_distance_symmetry_and_sphere_partition(rng):
@@ -108,6 +116,9 @@ def test_from_edges_matches_set_based_reference(rng):
     ([(0, 1), (1, 0), (1, 1)], "self-loop at vertex 1"),
     # of several duplicates, the smallest (a, b) with a < b is named
     ([(1, 2), (2, 1), (0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    # a float endpoint is rejected, not truncated
+    ([(0.5, 1)], "edge (0.5,1) has a non-integer endpoint"),
+    ([(0, 2.0)], "edge (0,2.0) has a non-integer endpoint"),
 ])
 def test_from_edges_error_messages(edges, message):
     with pytest.raises(GraphFormatError) as err:

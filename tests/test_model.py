@@ -313,13 +313,16 @@ def test_instance_json_round_trip(tmp_path, rng):
 
 
 def test_records_are_immutable():
+    from rfim.counting import check_instance
     from rfim.percolation import SitePercolationSpec
     from rfim.randgen import FieldSpec
 
     g = Graph.from_edges(2, [(0, 1)])
+    inst = IsingInstance(g, 1.0, np.zeros(2))
     for record, name, value in (
         (g, "n", 3),
-        (IsingInstance(g, 1.0, np.zeros(2)), "beta", 2.0),
+        (inst, "beta", 2.0),
+        (check_instance(inst, 0.1), "accepted", True),
         (FieldSpec("gaussian", variance=2.0), "variance", 3.0),
         (SitePercolationSpec(g, np.full(2, 0.5)), "boundary_open", frozenset({0})),
     ):
