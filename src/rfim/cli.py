@@ -12,6 +12,11 @@ before a step's error fit eps/|free|, by a forced-depth pass or draw, or by
 `sample` only report their bound, `tau` null and `depth` the forced one;
 otherwise `tau` is the smallest tau a step walked at.
 
+Each run parameter has one source.  `exact` caps at
+`model.ENUMERATION_CAP` free vertices, which no option lifts; `perc` reads
+its trials and seed from its config alone (defaults 10000 and 0), so its
+manifest records the config path and nothing else.
+
 Each `cmd_*` reads its files through `_read` and returns its output object
 and exit code.  `cli_dispatch` alone attaches the run manifest, writes the
 JSON to `--out` and stdout, and turns errors into exit codes (an OSError
@@ -82,10 +87,9 @@ def _parse_depth(text: str | None):
         return None
     if text == "inf":
         return math.inf
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"--depth must be an integer or 'inf', got {text!r}")
+    if not text.isdecimal():
+        raise ValueError(f"--depth must be a non-negative integer or 'inf', got {text!r}")
+    return int(text)
 
 
 def _finite(text: str) -> float:
@@ -129,7 +133,7 @@ def cmd_gen_fields(args) -> tuple[dict, int]:
 
 def cmd_exact(args) -> tuple[dict, int]:
     inst = _read("instance", args.instance, model.load)
-    return {"log_z": model.exact_partition(inst, max_free=args.max_free)}, EXIT_OK
+    return {"log_z": model.exact_partition(inst)}, EXIT_OK
 
 
 def cmd_count(args) -> tuple[dict, int]:
@@ -206,19 +210,18 @@ def cmd_perc(args) -> tuple[dict, int]:
             cfg = json.load(f)
         if not isinstance(cfg, dict) or cfg.get("format") != "rfim-perc-v1":
             raise ValueError("expected format 'rfim-perc-v1'")
-        # the config's values override the flags, and the manifest records them
-        args.trials = _config_int(cfg, "trials", args.trials)
-        args.seed = _config_int(cfg, "seed", args.seed)
+        trials = _config_int(cfg, "trials", 10000)
+        seed = _config_int(cfg, "seed", 0)
         region = cfg["A"]
         eta, xi = ({model.vertex_key(v): s for v, s in cfg[k].items()} for k in ("eta", "xi"))
         if not all(map(graphmod.is_int, [*region, *eta.values(), *xi.values()])):
             raise ValueError("'A' and the 'eta' and 'xi' spins must be integers")
         inst_path = os.path.join(os.path.dirname(path) or ".", cfg["instance"])
-        return inst_path, region, eta, xi
+        return inst_path, region, eta, xi, trials, seed
 
-    inst_path, region, eta, xi = _read("perc config", args.config, parse)
+    inst_path, region, eta, xi, trials, seed = _read("perc config", args.config, parse)
     inst = _read("instance", inst_path, model.load)
-    report = percolation.tv_domination_check(inst, region, eta, xi, args.trials, args.seed)
+    report = percolation.tv_domination_check(inst, region, eta, xi, trials, seed)
     obj = {
         "tv_exact": report.tv_exact,
         "percolation": {
@@ -258,14 +261,12 @@ SUBCOMMANDS = {
         ("--kind", {"choices": ["gaussian", "two_point"], "default": "gaussian"}),
         ("--variance", {"type": float, "default": None}),
         ("--magnitude", {"type": float, "default": None}), _SEED]),
-    "exact": (cmd_exact, [_INSTANCE, ("--max-free", {"type": int,
-                                                     "default": model.DEFAULT_ENUMERATION_CAP})]),
+    "exact": (cmd_exact, [_INSTANCE]),
     "count": (cmd_count, [_INSTANCE, _EPS, _DEPTH, _H0]),
     "sample": (cmd_sample, [_INSTANCE, _EPS, _SEED, _DEPTH]),
     "glauber": (cmd_glauber, [_INSTANCE, _EPS, _SEED]),
     "check": (cmd_check, [_INSTANCE, _EPS, _H0]),
-    "perc": (cmd_perc, [("--config", {"required": True}),
-                        ("--trials", {"type": int, "default": 10000}), _SEED]),
+    "perc": (cmd_perc, [("--config", {"required": True})]),
     "grow": (cmd_grow, [("--graph", {"required": True}), ("--v", {"type": int, "default": 0}),
                         ("--lmax", {"type": int, "required": True}),
                         ("--saw-tree", {"action": "store_true"})]),

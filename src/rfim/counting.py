@@ -82,16 +82,16 @@ class _Step(NamedTuple):
 
 
 class CertificateReport(NamedTuple):
-    """Outcome of the strong-spatial-mixing certificate check.
+    """Outcome of `check_instance`, its only producer.
 
     `influence_ok` is the influence condition M(delta, h0, beta) < delta^-2;
     `paths_ok` asks that every root-to-frontier path has at least half of its
     free vertices with |h| >= h0; `rate` is the implied decay rate when the
-    influence condition holds.  The aggregation fields are set by the
-    whole-instance checker and stay None for a single tree.  The checker's
-    frontier is the uniform cut at `depth` together with the influence
-    threshold `tau`; its `paths_ok` is read on that walked frontier, and
-    `nodes` counts the walker nodes it walked.
+    influence condition holds.  `accepted` is the verdict: the aggregate
+    certified error `certified_rel_err` is at most eps.  The frontier is the
+    uniform cut at `depth` together with the influence threshold `tau`;
+    `paths_ok` is read on that walked frontier, and `nodes` counts the
+    walker nodes walked.
     """
 
     influence_ok: bool
@@ -135,22 +135,18 @@ def choose_depth(n: int, eps: float, c1: float) -> int:
     return math.ceil(math.log(4.0 * n / eps) / c1)
 
 
-def _forced_cut(inst: IsingInstance, depth) -> int | None:
-    """The uniform cut of a depth (math.inf = untruncated); None when
-    untruncated, since a SAW has fewer than n edges."""
-    cut = None if math.isinf(depth) else int(depth)
-    return None if cut is not None and cut >= inst.graph.n else cut
-
-
 def _frontier(inst: IsingInstance, eps: float, depth_override):
     """(cut, first tau, allotment) of every step: the allotment is
     eps/|free|; a forced depth (math.inf = untruncated) is its uniform cut
-    and no tau, otherwise there is no cut and tau starts at ten allotments."""
+    and no tau, otherwise there is no cut and tau starts at ten allotments.
+    A cut at n or deeper is None, untruncated, since a SAW has fewer than n
+    edges, and so is reported as the depth used."""
     check_eps(eps)
     allot = eps / max(len(inst.free_vertices), 1)
-    if depth_override is not None:
-        return _forced_cut(inst, depth_override), None, allot
-    return None, 10.0 * allot, allot
+    if depth_override is None:
+        return None, 10.0 * allot, allot
+    cut = None if depth_override >= inst.graph.n else int(depth_override)
+    return cut, None, allot
 
 
 def _step(walker: SawWalker, v: int, boundary: dict, frontier, relative: bool) -> _Step:
@@ -325,13 +321,13 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     # the paper's ell0 = ceil(log max(n, 2) / rate) never binds: for
     # eps < 1, 4n/eps > max(n, 2), and at rate = inf both terms give depth 1
     depth = choose_depth(inst.graph.n, eps, rate)
-    cut = _forced_cut(inst, depth)
     tau = eps / (4.0 * max(inst.graph.n, 1)) / 100.0
 
     walker = SawWalker(inst, h0)
     free = inst.free_vertices
     try:
-        walks = [walker.walk(v, inst.boundary, cut, tau) for v in free]
+        # a walk cut at n or deeper is untruncated: a SAW has fewer than n edges
+        walks = [walker.walk(v, inst.boundary, depth, tau) for v in free]
     except NodeBudgetExhausted as e:
         return CertificateReport(True, False, rate, h0, reason=f"{e} at depth {depth}",
                                  depth=depth, tau=tau, nodes=walker.nodes)

@@ -5,8 +5,10 @@ which import it on their first call: only `rfim exact` and `rfim perc` load it.
 from __future__ import annotations
 
 from math import exp, log1p
+from typing import TYPE_CHECKING
 
-from .model import IsingInstance
+if TYPE_CHECKING:
+    from .model import IsingInstance
 
 #: Widest table, in free vertices, that the exact oracles build (or the
 #: region's size, if larger); a wider plan is split by conditioning.

@@ -25,10 +25,10 @@ from .graph import Graph
 
 INSTANCE_FORMAT = "rfim-instance-v1"
 
-#: Largest number of free vertices the exact oracles accept by default.  Their
-#: cost grows as 2^(frontier width), not 2^(free count): a sparse graph at the
-#: cap is fast, a complete graph near it takes seconds.
-DEFAULT_ENUMERATION_CAP = 24
+#: Largest number of free vertices the exact oracles accept.  Their cost
+#: grows as 2^(frontier width), not 2^(free count): a sparse graph at the cap
+#: is fast, a complete graph near it takes seconds.
+ENUMERATION_CAP = 24
 
 
 def expit(x: float) -> float:
@@ -150,16 +150,18 @@ def hamiltonian(inst: IsingInstance, spins: Sequence[int]) -> float:
     return float(-(inst.beta * pair + math.fsum(h * x for h, x in zip(inst.fields, s))))
 
 
-def _check_cap(n_free: int, max_free: int) -> None:
-    if n_free > max_free:
-        raise EnumerationTooLarge(f"{n_free} free vertices exceeds enumeration cap {max_free}")
+def _check_cap(n_free: int) -> None:
+    if n_free > ENUMERATION_CAP:
+        raise EnumerationTooLarge(
+            f"{n_free} free vertices exceeds enumeration cap {ENUMERATION_CAP}")
 
 
-def exact_partition(inst: IsingInstance, max_free: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """log Z summed exactly over the free spins (the test oracle)."""
+def exact_partition(inst: IsingInstance) -> float:
+    """log Z summed exactly over the free spins, of which there may be at
+    most ENUMERATION_CAP (the test oracle)."""
     from .elimination import _region_log_z
 
-    _check_cap(len(inst.free_vertices), max_free)
+    _check_cap(len(inst.free_vertices))
     return _region_log_z(inst, [])[0]
 
 
@@ -169,7 +171,7 @@ def exact_marginal(
     extra: dict[int, int] | None = None,
 ) -> float:
     """Exact P(sigma_v = +1 | boundary, extra), summed over the other free
-    spins, of which there may be at most DEFAULT_ENUMERATION_CAP."""
+    spins, of which there may be at most ENUMERATION_CAP."""
     from .elimination import _region_log_z
 
     cond = inst.with_extra_boundary(extra or {})
@@ -177,19 +179,19 @@ def exact_marginal(
         raise ValueError(f"vertex {v} is fixed by the conditioning")
     if not 0 <= v < cond.graph.n:
         raise ValueError(f"vertex {v} out of range")
-    _check_cap(len(cond.free_vertices) - 1, DEFAULT_ENUMERATION_CAP)
+    _check_cap(len(cond.free_vertices) - 1)
     log_minus, log_plus = _region_log_z(cond, [v])
     return expit(log_plus - log_minus)
 
 
 def exact_region_law(inst: IsingInstance, region: list[int]) -> dict[tuple[int, ...], float]:
     """Exact joint law of the spins on `region` (distinct free vertices), as
-    a dict from spin tuples to probabilities; at most DEFAULT_ENUMERATION_CAP
-    free vertices."""
+    a dict from spin tuples to probabilities; at most ENUMERATION_CAP free
+    vertices."""
     from .elimination import _region_log_z
 
     free = inst.free_vertices
-    _check_cap(len(free), DEFAULT_ENUMERATION_CAP)
+    _check_cap(len(free))
     for v in region:
         if v not in free:
             raise ValueError(f"region vertex {v} is not free")

@@ -10,7 +10,6 @@ import math
 from typing import NamedTuple
 
 from .model import IsingInstance, expit, influence_bound
-from .counting import CertificateReport, rate_constant
 
 
 class SawNode:
@@ -202,17 +201,14 @@ def certified_truncation_error(tree: SawTree, beta: float) -> float:
     return min(total, 1.0)
 
 
-def ssm_certificate(tree: SawTree, h0: float, beta: float, delta: int) -> CertificateReport:
-    """Check the per-tree strong-spatial-mixing certificate.
+def ssm_certificate(tree: SawTree, h0: float) -> bool:
+    """The per-tree strong-spatial-mixing path rule: every root-to-frontier
+    path has at least half of its free vertices with field magnitude >= h0.
 
-    (a) the influence condition M(delta, h0, beta) < delta^-2, (b) every
-    root-to-frontier path has at least half of its free vertices with field
-    magnitude >= h0.  When (a) holds the implied rate is
-    -1/2 * log(M(delta, h0, beta) * delta^2).
+    The certificate's other half, the influence condition M(delta, h0, beta)
+    < delta^-2, does not depend on the tree: `rfim.counting.rate_constant`
+    is None exactly when it fails.
     """
-    rate = rate_constant(delta, h0, beta)
-    influence_ok = rate is not None
-
     paths_ok = True
     # (n_free, n_large) accumulated along the path to each node
     stack = [(tree.root, 0, 0)]
@@ -230,20 +226,7 @@ def ssm_certificate(tree: SawTree, h0: float, beta: float, delta: int) -> Certif
             n_large += 1
         for c in node.children:
             stack.append((c, n_free, n_large))
-
-    reason = ""
-    if not influence_ok:
-        reason = f"influence condition fails at h0={h0:.4g}"
-    elif not paths_ok:
-        reason = "a root-to-frontier path has under half its free vertices with |h| >= h0"
-    return CertificateReport(
-        influence_ok=influence_ok,
-        paths_ok=paths_ok,
-        rate=rate,
-        h0=h0,
-        accepted=influence_ok and paths_ok,
-        reason=reason,
-    )
+    return paths_ok
 
 
 def dump(tree: SawTree) -> str:

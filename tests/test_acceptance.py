@@ -324,6 +324,14 @@ def test_criterion_10_cli_determinism(tmp_path):
     inst_path = tmp_path / "inst.json"
     M.save(IsingInstance(g, 0.4, np.array([2.0, -2.5, 3.0])), str(inst_path))
     gpath = tmp_path / "g.json"
+    # perc reads its trials and seed from the config, so its manifest holds
+    # the config path alone
+    path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    M.save(IsingInstance(path4, 1.0, np.zeros(4), {0: 1}), str(tmp_path / "path.json"))
+    perc_path = tmp_path / "perc.json"
+    perc_path.write_text(json.dumps({"format": "rfim-perc-v1", "instance": "path.json",
+                                     "A": [3], "eta": {"0": 1}, "xi": {"0": -1},
+                                     "trials": 300, "seed": 5}))
     runs = [
         ["gen-graph", "--n", "10", "--delta", "3", "--seed", "2", "--out", str(gpath)],
         ["gen-fields", "--n", "6", "--variance", "2.5", "--seed", "3"],
@@ -332,6 +340,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         ["sample", "--instance", str(inst_path), "--eps", "0.1", "--seed", "4"],
         ["check", "--instance", str(inst_path)],
         ["grow", "--graph", str(gpath), "--v", "0", "--lmax", "3", "--saw-tree"],
+        ["perc", "--config", str(perc_path)],
     ]
     for args in runs:
         first = subprocess.run(

@@ -220,6 +220,40 @@ def test_rfim_imports_no_dataclasses():
             assert not any(n.split(".")[0] in banned for n in names), path.name
 
 
+def _relative_imports(tree: ast.AST) -> set[str]:
+    """The modules a parsed rfim module imports relatively, at module level
+    or inside functions, outside `if TYPE_CHECKING:` blocks."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def rfim_import_graph(src: Path) -> dict[str, set[str]]:
+    """Each module of the package at `src` -> the package modules it imports."""
+    imports = {p.stem: _relative_imports(ast.parse(p.read_text())) for p in src.glob("*.py")}
+    return {m: names & imports.keys() for m, names in imports.items()}
+
+
+def test_rfim_imports_are_acyclic():
+    import graphlib
+
+    graph = rfim_import_graph(Path(__file__).resolve().parents[1] / "src" / "rfim")
+    assert {"cli", "model", "elimination", "counting", "sawtree_oracle"} <= graph.keys()
+    assert "counting" in graph["cli"] and "elimination" in graph["model"]
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as e:
+        pytest.fail(f"import cycle {' -> '.join(e.args[1])}")
+
+
 def test_import_cli_loads_no_numpy():
     res = subprocess.run(
         [sys.executable, "-c", "import sys, rfim.cli; print('numpy' in sys.modules)"],
@@ -357,6 +391,12 @@ def test_non_finite_arguments_exit_one(triangle_instance):
             assert res.returncode == 1, (sub, h0)
             assert res.stdout == ""
             assert "error:" in res.stderr and "--h0" in res.stderr and "finite" in res.stderr
+    # a negative --depth is an argument error, named as the flag
+    for sub in ("count", "sample"):
+        res = run_cli(sub, "--instance", path, "--depth", "-2")
+        assert (res.returncode, res.stdout) == (1, ""), sub
+        assert res.stderr == ("error: --depth must be a non-negative integer or 'inf', "
+                              "got '-2'\n")
     # sample has no --h0: its steps do not read a field threshold
     res = run_cli("sample", "--instance", path, "--h0", "1")
     assert res.returncode == 1
@@ -467,8 +507,7 @@ def test_unreadable_files_give_one_error_line(tmp_path, case):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("sub", ["gen-graph", "gen-fields", "sample", "glauber", "perc",
-                                 "perc-config"])
+@pytest.mark.parametrize("sub", ["gen-graph", "gen-fields", "sample", "glauber", "perc-config"])
 def test_negative_seed_exits_one(triangle_instance, tmp_path, sub):
     _, path = triangle_instance
     cfg_path = tmp_path / "perc.json"
@@ -479,7 +518,6 @@ def test_negative_seed_exits_one(triangle_instance, tmp_path, sub):
         "gen-fields": ["gen-fields", "--n", "4", "--seed", "-1"],
         "sample": ["sample", "--instance", path, "--seed", "-1"],
         "glauber": ["glauber", "--instance", path, "--seed", "-1"],
-        "perc": ["perc", "--config", str(cfg_path), "--seed", "-1"],
         "perc-config": ["perc", "--config", str(cfg_path)],
     }[sub]
     # random.Random seeds from |seed|, so -1 used to draw what 1 draws
@@ -560,11 +598,16 @@ def test_perc_manifest_records_config_trials_and_seed(tmp_path):
     cfg_path.write_text(json.dumps({"format": "rfim-perc-v1", "instance": "inst.json",
                                     "A": [3], "eta": {"0": 1}, "xi": {"0": -1},
                                     "trials": 500, "seed": 9}))
-    res = run_cli("perc", "--config", str(cfg_path), "--trials", "20", "--seed", "1")
+    # trials and seed come from the config alone: perc has no flags for them
+    for flag in ("--trials", "--seed"):
+        res = run_cli("perc", "--config", str(cfg_path), flag, "1")
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.splitlines()[-1] == f"rfim: error: unrecognized arguments: {flag} 1"
+    res = run_cli("perc", "--config", str(cfg_path))
     assert res.returncode == 0
     obj = json.loads(res.stdout)
     assert obj["percolation"]["trials"] == 500
-    assert obj["manifest"]["params"] == {"config": str(cfg_path), "trials": 500, "seed": 9}
+    assert obj["manifest"]["params"] == {"config": str(cfg_path)}
 
 
 def test_perc_rejects_repeated_region_and_off_boundary_eta_xi(tmp_path):
@@ -622,7 +665,7 @@ def test_perc_rejects_non_integer_trials_and_seed(tmp_path):
     cfg_path.write_text(json.dumps({**base, "trials": 200.0, "seed": 3.0}))
     res = run_cli("perc", "--config", str(cfg_path))
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["manifest"]["params"]["trials"] == 200
+    assert json.loads(res.stdout)["percolation"]["trials"] == 200
 
 
 def test_count_and_sample_report_tau(triangle_instance):

@@ -112,14 +112,12 @@ def test_exact_partition_matches_linear_space_oracle(rng, monkeypatch):
 
 
 def test_exact_partition_cap():
-    g = Graph.from_edges(30, [])
-    inst = IsingInstance(g, 0.0, np.zeros(30))
-    with pytest.raises(M.EnumerationTooLarge):
-        exact_partition(inst)
-    small = IsingInstance(Graph.from_edges(10, []), 0.0, np.zeros(10))
-    with pytest.raises(M.EnumerationTooLarge):
-        exact_partition(small, max_free=5)
-    assert exact_partition(small, max_free=10) == pytest.approx(10 * math.log(2))
+    # the cap is ENUMERATION_CAP = 24 free vertices, and no argument lifts it
+    at_cap = IsingInstance(Graph.from_edges(24, []), 0.0, np.zeros(24))
+    assert exact_partition(at_cap) == pytest.approx(24 * math.log(2))
+    above = IsingInstance(Graph.from_edges(25, []), 0.0, np.zeros(25))
+    with pytest.raises(M.EnumerationTooLarge, match="25 free vertices exceeds enumeration cap 24"):
+        exact_partition(above)
 
 
 def test_exact_partition_relabeling_invariance(rng):

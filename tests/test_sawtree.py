@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfim import sawtree
-from rfim.graph import Graph, max_degree
+from rfim.counting import rate_constant
+from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_marginal, influence_bound
 from rfim.sawtree import NodeBudgetExhausted, SawWalker
 from rfim.sawtree_oracle import (
@@ -198,19 +199,21 @@ def test_ssm_certificate_accepts_uniformly_large_fields():
     g = FOUR_CYCLE
     inst = IsingInstance(g, 0.5, np.full(4, 4.0))
     tree = build_saw_tree(inst, 0, cut_depth=2)
-    rep = ssm_certificate(tree, h0=4.0, beta=0.5, delta=2)
-    assert rep.influence_ok and rep.paths_ok and rep.accepted
-    assert rep.rate is not None and rep.rate > 0
+    assert ssm_certificate(tree, h0=4.0) is True
+    rate = rate_constant(2, 4.0, 0.5)  # the influence condition holds
+    assert rate is not None and rate > 0
 
 
 def test_ssm_certificate_rejects_zero_fields():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     inst = IsingInstance(g, 2.0, np.zeros(4))
     tree = build_saw_tree(inst, 0, cut_depth=1)
-    rep = ssm_certificate(tree, h0=0.0, beta=2.0, delta=3)
-    assert not rep.accepted
-    assert not rep.influence_ok
-    assert rep.reason
+    # every field reaches h0 = 0, so the path rule holds, but the influence
+    # condition fails
+    assert ssm_certificate(tree, h0=0.0) is True
+    assert rate_constant(3, 0.0, 2.0) is None
+    # at h0 = 1 no free vertex has |h| >= h0, so the path rule fails too
+    assert ssm_certificate(tree, h0=1.0) is False
 
 
 def test_ssm_certificate_half_rule():
@@ -222,10 +225,9 @@ def test_ssm_certificate_half_rule():
     h[0] = 0.0  # one low-field vertex on every root-to-leaf path
     inst = IsingInstance(g, 0.3, h)
     tree = build_saw_tree(inst, 0, cut_depth=2)
-    rep = ssm_certificate(tree, h0=5.0, beta=0.3, delta=3)
-    assert rep.influence_ok
-    assert rep.paths_ok  # 1 of 2 free path vertices is large: exactly half
-    assert rep.accepted
+    assert rate_constant(3, 5.0, 0.3) is not None  # the influence condition holds
+    # 1 of 2 free path vertices is large: exactly half
+    assert ssm_certificate(tree, h0=5.0) is True
     assert_walk_matches_tree(inst, 0, 2, 5.0)
 
 
@@ -255,7 +257,7 @@ def assert_walk_matches_tree(inst, root, cut, h0):
     # the same products summed in another order
     assert res.error == pytest.approx(certified_truncation_error(tree, beta), rel=1e-12, abs=0)
     assert res.node_count == tree.node_count
-    assert res.paths_ok == ssm_certificate(tree, h0, beta, max_degree(g)).paths_ok
+    assert res.paths_ok == ssm_certificate(tree, h0)
     # a certificate walker folds no log-odds and has no bracket; an
     # estimate walker walks the same +1 frontier, and its bracket holds both
     # uniform frontiers, exactly so for beta >= 0, where the root marginal
