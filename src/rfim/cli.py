@@ -92,14 +92,14 @@ def _parse_depth(text: str | None):
     return int(text)
 
 
-def _finite(text: str) -> float:
+def _h0(text: str) -> float:
     try:
         x = float(text)
-        if math.isfinite(x):
-            return x
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        x = math.nan
+    if not 0.0 <= x < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a non-negative finite number, got {text!r}")
+    return x
 
 
 def _seed(text: str) -> int:
@@ -249,7 +249,7 @@ _INSTANCE = ("--instance", {"required": True})
 _EPS = ("--eps", {"type": float, "default": 0.1})
 _SEED = ("--seed", {"type": _seed, "default": 0})
 _DEPTH = ("--depth", {"default": None})
-_H0 = ("--h0", {"type": _finite, "default": None})
+_H0 = ("--h0", {"type": _h0, "default": None})
 
 #: Every subcommand, in help order: name -> (handler, its options after
 #: `--out`, each a flag and its `add_argument` keywords).

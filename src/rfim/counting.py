@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
 from .graph import max_degree
@@ -140,13 +141,16 @@ def _frontier(inst: IsingInstance, eps: float, depth_override):
     eps/|free|; a forced depth (math.inf = untruncated) is its uniform cut
     and no tau, otherwise there is no cut and tau starts at ten allotments.
     A cut at n or deeper is None, untruncated, since a SAW has fewer than n
-    edges, and so is reported as the depth used."""
+    edges, and so is reported as the depth used.  Any other depth_override
+    than None, math.inf or an integer >= 0 (not a bool) is a ValueError."""
     check_eps(eps)
     allot = eps / max(len(inst.free_vertices), 1)
     if depth_override is None:
         return None, 10.0 * allot, allot
-    cut = None if depth_override >= inst.graph.n else int(depth_override)
-    return cut, None, allot
+    d = depth_override
+    if d != math.inf and (isinstance(d, bool) or not hasattr(d, "__index__") or d < 0):
+        raise ValueError(f"depth_override must be None, math.inf or an integer >= 0, got {d!r}")
+    return (None if d >= inst.graph.n else index(d)), None, allot
 
 
 def _step(walker: SawWalker, v: int, boundary: dict, frontier, relative: bool) -> _Step:
@@ -270,6 +274,8 @@ def sample_many(
     """
     import numpy as np
 
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     out = np.empty((count, inst.graph.n), dtype=int)
     draws = _draws(inst, _frontier(inst, eps, depth_override), seed)
     for i, res in zip(range(count), draws):
@@ -314,6 +320,8 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     delta = max_degree(inst.graph)
     if h0 is None:
         h0 = default_h0(delta, inst.beta)
+    elif not 0.0 <= h0 < math.inf:  # the path rule reads h0 as given, M reads |h0|
+        raise ValueError(f"h0 must be a non-negative finite number, got {h0!r}")
     rate = rate_constant(delta, h0, inst.beta)
     if rate is None:
         return CertificateReport(False, False, None, h0,

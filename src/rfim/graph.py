@@ -32,9 +32,11 @@ class Graph(NamedTuple):
     def from_edges(n: int, edges) -> "Graph":
         """Edges in any order.  Each neighbour list is sorted in place, so
         an edge given twice, either way round, shows up as two equal
-        neighbours (the smallest such (a, b) is named); endpoints that are
-        not integers (numpy integers are), out-of-range endpoints and
-        self-loops are rejected first, as the edges are read."""
+        neighbours (the smallest such (a, b) is named); a negative n, and
+        endpoints that are not integers (numpy integers are), out-of-range
+        endpoints and self-loops are rejected first, as the edges are read."""
+        if n < 0:
+            raise GraphFormatError(f"n must be >= 0, got {n}")
         adj = [[] for _ in range(n)]
         for a, b in edges:
             try:
@@ -67,6 +69,18 @@ class Graph(NamedTuple):
                 if a < b:
                     out.append((a, b))
         return out
+
+
+def vertex(n: int, v, what: str) -> int:
+    """v as a Python int (numpy integers count, floats do not) in 0..n-1;
+    otherwise a ValueError naming it as the `what` vertex."""
+    try:
+        i = index(v)
+    except TypeError:
+        raise ValueError(f"{what} vertex {v!r} is not an integer") from None
+    if not 0 <= i < n:
+        raise ValueError(f"{what} vertex {v} out of range")
+    return i
 
 
 def max_degree(g: Graph) -> int:

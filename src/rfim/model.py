@@ -108,12 +108,7 @@ class IsingInstance(Frozen):
                 raise ValueError(f"field at vertex {v} must be finite, got {x!r}")
         spins = {}
         for v, s in (boundary or {}).items():
-            try:  # operator.index takes numpy integers, not floats
-                v = operator.index(v)
-            except TypeError:
-                raise ValueError(f"boundary vertex {v!r} is not an integer") from None
-            if not 0 <= v < n:
-                raise ValueError(f"boundary vertex {v} out of range")
+            v = graphmod.vertex(n, v, "boundary")
             try:
                 spin = operator.index(s)
             except TypeError:
@@ -165,22 +160,18 @@ def exact_partition(inst: IsingInstance) -> float:
     return _region_log_z(inst, [])[0]
 
 
-def exact_marginal(
-    inst: IsingInstance,
-    v: int,
-    extra: dict[int, int] | None = None,
-) -> float:
-    """Exact P(sigma_v = +1 | boundary, extra), summed over the other free
-    spins, of which there may be at most ENUMERATION_CAP."""
+def exact_marginal(inst: IsingInstance, v: int) -> float:
+    """Exact P(sigma_v = +1 | inst.boundary), summed over the other free
+    spins, of which there may be at most ENUMERATION_CAP.  To condition on
+    more spins, pass `inst.with_extra_boundary(extra)`."""
     from .elimination import _region_log_z
 
-    cond = inst.with_extra_boundary(extra or {})
-    if v in cond.boundary:
+    if v in inst.boundary:
         raise ValueError(f"vertex {v} is fixed by the conditioning")
-    if not 0 <= v < cond.graph.n:
+    if not 0 <= v < inst.graph.n:
         raise ValueError(f"vertex {v} out of range")
-    _check_cap(len(cond.free_vertices) - 1)
-    log_minus, log_plus = _region_log_z(cond, [v])
+    _check_cap(len(inst.free_vertices) - 1)
+    log_minus, log_plus = _region_log_z(inst, [v])
     return expit(log_plus - log_minus)
 
 

@@ -8,7 +8,7 @@ import math
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .graph import Graph, bfs_distances, UNREACHABLE
+from .graph import Graph, bfs_distances, vertex, UNREACHABLE
 from .model import (
     Frozen,
     IsingInstance,
@@ -23,14 +23,12 @@ if TYPE_CHECKING:
 #: z-score for the 99.7% Wilson intervals used in all Monte Carlo reports.
 WILSON_Z = 3.0
 
-#: Most free vertices whose conditionals a coupled exploration enumerates.
-EXPLORATION_MAX_FREE = 20
-
 
 class SitePercolationSpec(Frozen):
     """Graph with per-vertex open probabilities; `boundary_open` vertices are
     open with probability one (closed boundary vertices get probability 0).
-    `probabilities` is stored as a list of floats."""
+    `probabilities` is stored as a list of floats, `boundary_open` as a
+    frozenset of Python ints."""
 
     def __init__(
         self,
@@ -43,9 +41,7 @@ class SitePercolationSpec(Frozen):
             raise ValueError("one probability per vertex required")
         if not all(0.0 <= x <= 1.0 for x in p):  # False for NaN as well
             raise ValueError("probabilities must lie in [0,1]")
-        for v in boundary_open:
-            if not 0 <= v < graph.n:
-                raise ValueError(f"boundary vertex {v} out of range")
+        boundary_open = frozenset(vertex(graph.n, v, "boundary") for v in boundary_open)
         self.__dict__.update(graph=graph, probabilities=p, boundary_open=boundary_open)
 
 
@@ -123,11 +119,9 @@ def connection_probability(
     for the sites it never reaches.
     """
     n = spec.graph.n
-    targets = set(targets)
+    targets = {vertex(n, v, "target") for v in targets}
     target = bytearray(n)
     for v in targets:
-        if not 0 <= v < n:
-            raise ValueError(f"target vertex {v} out of range")
         target[v] = 1
     if targets & spec.boundary_open:
         raise ValueError("targets must be disjoint from boundary_open")
@@ -149,13 +143,10 @@ class CouplingTranscript(NamedTuple):
 
 
 def _exploration_sequence(inst: IsingInstance):
-    """Free vertices ordered by distance to the boundary, ties by index."""
-    g = inst.graph
-    boundary = sorted(inst.boundary)
-    dist = bfs_distances(g, boundary) if boundary else [0] * g.n
-    free = [v for v in range(g.n) if v not in inst.boundary]
-    big = g.n + 1
-    return sorted(free, key=lambda v: (dist[v] if dist[v] != UNREACHABLE else big, v))
+    """Free vertices ordered by distance to the boundary, those it cannot
+    reach last, ties by index."""
+    dist = bfs_distances(inst.graph, inst.boundary)
+    return sorted(inst.free_vertices, key=lambda v: (dist[v] == UNREACHABLE, dist[v], v))
 
 
 def _check_boundary_pair(inst: IsingInstance, eta: dict[int, int], xi: dict[int, int]) -> None:
@@ -174,9 +165,10 @@ def coupled_exploration(
     proof: sites adjacent to the current disagreement set come first, layered
     by distance to the boundary, ties broken by vertex index.
 
-    Each side's conditional is computed exactly by enumeration over the
-    unexplored region, so the per-site disagreement probability is the true
-    conditional difference.
+    Each side's conditional is computed exactly by `exact_marginal` over
+    the unexplored region, so the per-site disagreement probability is the
+    true conditional difference, and the instance may have at most
+    ENUMERATION_CAP + 1 free vertices.
     """
     import numpy as np
 
@@ -190,21 +182,16 @@ def _explore(
     rng: np.random.Generator,
     memo: dict,
 ) -> CouplingTranscript:
-    """One coupled exploration drawing from `rng`; `memo` caches conditional
-    marginals by (site, revealed spins) across explorations and sides."""
+    """One coupled exploration, one `rng.random()` per site: a site's spin
+    on each side is +1 when the draw lies below `exact_marginal` of the
+    instance fixed to that side's spins (eta or xi, then the revealed
+    sites).  `memo` caches those marginals across explorations and sides."""
     import numpy as np
 
     g = inst.graph
     _check_boundary_pair(inst, eta, xi)
-    if len(inst.free_vertices) > EXPLORATION_MAX_FREE:
-        raise ValueError("instance too large for exact conditionals")
-
-    unconditioned = IsingInstance(inst.graph, inst.beta, inst.fields)
-    sigma = {0: dict(eta), 1: dict(xi)}
-    S = np.zeros(g.n, dtype=int)
-    for v in inst.boundary:
-        S[v] = int(eta[v] != xi[v])
-    disagree = {v for v in inst.boundary if S[v]}
+    sigma = (dict(eta), dict(xi))
+    disagree = {v for v in inst.boundary if eta[v] != xi[v]}
     unexplored = _exploration_sequence(inst)
     visited: list[int] = []
 
@@ -215,24 +202,18 @@ def _explore(
         )
         unexplored.remove(x)
         u = rng.random()
-        ps = []
-        for i in (0, 1):
-            key = (x, tuple(sorted(sigma[i].items())))
+        for side in sigma:
+            key = (x, tuple(sorted(side.items())))
             p = memo.get(key)
             if p is None:
-                p = exact_marginal(unconditioned, x, extra=sigma[i])
-                memo[key] = p
-            ps.append(p)
-        for i in (0, 1):
-            sigma[i][x] = +1 if u < ps[i] else -1
+                p = memo[key] = exact_marginal(IsingInstance(g, inst.beta, inst.fields, side), x)
+            side[x] = +1 if u < p else -1
         if sigma[0][x] != sigma[1][x]:
-            S[x] = 1
             disagree.add(x)
         visited.append(x)
 
-    sigma_a = np.array([sigma[0][v] for v in range(g.n)], dtype=int)
-    sigma_b = np.array([sigma[1][v] for v in range(g.n)], dtype=int)
-    return CouplingTranscript(sigma_a, sigma_b, S, visited)
+    sigma_a, sigma_b = (np.array([side[v] for v in range(g.n)], dtype=int) for side in sigma)
+    return CouplingTranscript(sigma_a, sigma_b, (sigma_a != sigma_b).astype(int), visited)
 
 
 def coupled_exploration_sweep(
@@ -280,9 +261,8 @@ def exact_tv_on_region(
     spins on `region` under boundary conditions eta and xi, which must
     assign exactly the boundary vertices."""
     _check_boundary_pair(inst, eta, xi)
-    base = IsingInstance(inst.graph, inst.beta, inst.fields)
-    law_a = exact_region_law(base.with_extra_boundary(eta), region)
-    law_b = exact_region_law(base.with_extra_boundary(xi), region)
+    law_a = exact_region_law(IsingInstance(inst.graph, inst.beta, inst.fields, eta), region)
+    law_b = exact_region_law(IsingInstance(inst.graph, inst.beta, inst.fields, xi), region)
     keys = set(law_a) | set(law_b)
     return 0.5 * sum(abs(law_a.get(k, 0.0) - law_b.get(k, 0.0)) for k in keys)
 

@@ -26,17 +26,18 @@ GENERATOR_VERSION = "pcg64-ndtri-1"
 
 
 class FieldSpec(Frozen):
-    """IID field distribution: gaussian(variance) or two_point (+h or -h,
-    each with probability 1/2)."""
+    """IID field distribution: gaussian(variance) or two_point (+-magnitude,
+    each with probability 1/2); the other kind's parameter must be 0."""
 
     def __init__(self, kind: str, variance: float = 0.0, magnitude: float = 0.0):
         if kind not in ("gaussian", "two_point"):
             raise ValueError(f"unknown field kind {kind!r}")
-        if not (math.isfinite(variance) and math.isfinite(magnitude)):
-            raise ValueError("variance and magnitude must be finite")
-        if kind == "gaussian" and variance < 0:
-            raise ValueError("variance must be >= 0")
-        self.__dict__.update(kind=kind, variance=variance, magnitude=magnitude)
+        own, other = ("variance", "magnitude") if kind == "gaussian" else ("magnitude", "variance")
+        params = {"variance": variance, "magnitude": magnitude}
+        if not (0.0 <= params[own] < math.inf and params[other] == 0.0):
+            raise ValueError(f"kind {kind!r} takes a finite {own} >= 0 and {other} 0, "
+                             f"got variance={variance!r}, magnitude={magnitude!r}")
+        self.__dict__.update(kind=kind, **params)
 
 
 def gen_er_graph(n: int, delta: float, seed: int) -> Graph:

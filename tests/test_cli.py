@@ -254,6 +254,34 @@ def test_rfim_imports_are_acyclic():
         pytest.fail(f"import cycle {' -> '.join(e.args[1])}")
 
 
+def unread_parameters(src: Path) -> list[str]:
+    """`module.[Class.]function(parameter)` for every parameter of a function
+    or lambda in `src/*.py` that its body never reads; a method's `self` is
+    not counted."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for parent in ast.walk(ast.parse(path.read_text())):
+            owner = parent.name + "." if isinstance(parent, ast.ClassDef) else ""
+            for node in ast.iter_child_nodes(parent):
+                if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    continue
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {n.id for b in body for n in ast.walk(b)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                name = f"{path.stem}.{owner}{getattr(node, 'name', '<lambda>')}"
+                found += [f"{name}({p.arg})" for p in params
+                          if p.arg not in read and not (owner and p.arg == "self")]
+    return found
+
+
+def test_no_parameter_is_ignored():
+    found = unread_parameters(Path(__file__).resolve().parents[1] / "src" / "rfim")
+    # Frozen.__setattr__ rejects every assignment, whatever its value
+    assert found == ["model.Frozen.__setattr__(value)"]
+
+
 def test_import_cli_loads_no_numpy():
     res = subprocess.run(
         [sys.executable, "-c", "import sys, rfim.cli; print('numpy' in sys.modules)"],
@@ -385,8 +413,10 @@ def test_check_infinite_rate_is_valid_json(tmp_path):
 
 def test_non_finite_arguments_exit_one(triangle_instance):
     _, path = triangle_instance
+    # a negative h0 is rejected too: the path rule would read it as given,
+    # the influence condition as |h0|
     for sub in ("count", "check"):
-        for h0 in ("nan", "inf"):
+        for h0 in ("nan", "inf", "-1", "-13.08"):
             res = run_cli(sub, "--instance", path, "--h0", h0)
             assert res.returncode == 1, (sub, h0)
             assert res.stdout == ""
@@ -402,7 +432,8 @@ def test_non_finite_arguments_exit_one(triangle_instance):
     assert res.returncode == 1
     assert res.stdout == "" and "--h0" in res.stderr
     for args in (["--variance=nan"], ["--variance=inf"], ["--variance=-inf"],
-                 ["--kind=two_point", "--magnitude=nan"]):
+                 ["--kind=two_point", "--magnitude=nan"], ["--variance=-1"],
+                 ["--kind=two_point", "--magnitude=-1"]):
         res = run_cli("gen-fields", "--n", "4", *args)
         assert res.returncode == 1, args
         assert res.stdout == ""

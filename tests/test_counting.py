@@ -374,6 +374,34 @@ def test_check_rejects_zero_field():
     assert not report.influence_ok
 
 
+def test_check_rejects_negative_or_non_finite_h0():
+    # the influence condition reads |h0| and the path rule h0 as given, so a
+    # negative h0 would be read two ways
+    inst = IsingInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), 1.0, np.full(3, 20.0))
+    for h0 in (-13.08, -0.5, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="h0 must be a non-negative finite number"):
+            check_instance(inst, 0.1, h0=h0)
+    assert check_instance(inst, 0.1, h0=0.0).h0 == 0.0
+
+
+def test_depth_override_and_count_validation():
+    inst = IsingInstance(Graph.from_edges(3, [(0, 1), (1, 2)]), 0.5, np.array([0.3, -0.2, 0.1]))
+    calls = (lambda d: approx_partition(inst, 0.1, depth_override=d),
+             lambda d: approx_sample(inst, 0.1, 0, depth_override=d),
+             lambda d: sample_many(inst, 0.1, 0, 2, depth_override=d))
+    for bad in (-math.inf, math.nan, -2, 1.5, True, False, "3"):
+        for call in calls:
+            with pytest.raises(ValueError, match="depth_override must be None, math.inf or an"):
+                call(bad)
+    for depth in (0, 1, 2, 7, math.inf):
+        res = approx_sample(inst, 0.1, 3, depth_override=depth)
+        assert approx_sample(inst, 0.1, 3, depth_override=np.int64(min(depth, 7))) == res
+        assert res.depth_used == (None if depth >= 3 else depth)
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        sample_many(inst, 0.1, 0, -1)
+    assert sample_many(inst, 0.1, 0, 0).shape == (0, 3)
+
+
 def test_check_path_untruncated_zero_error(rng):
     n = 6
     g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])

@@ -35,7 +35,7 @@ def test_conditional_is_gibbs_conditional(rng):
         x = int(rng.integers(n))
         extra = {int(y): int(config[y]) for y in g.adjacency[x]}
         assert conditional_plus_probability(inst, config, x) == pytest.approx(
-            exact_marginal(inst, x, extra), abs=1e-12
+            exact_marginal(inst.with_extra_boundary(extra), x), abs=1e-12
         )
 
 

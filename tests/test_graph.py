@@ -126,6 +126,12 @@ def test_from_edges_error_messages(edges, message):
     assert str(err.value) == message
 
 
+def test_from_edges_rejects_negative_n():
+    with pytest.raises(GraphFormatError, match="n must be >= 0, got -1"):
+        Graph.from_edges(-1, [])
+    assert Graph.from_edges(0, []) == Graph(0, ())
+
+
 @pytest.mark.parametrize("entry", [[True, 1], [0, False], [0.0, 1], [0, 1.5], [0, 1, 2], [0],
                                    (0, 1), "01", None, {"0": 1}])
 def test_from_json_dict_rejects_non_integer_pairs(entry):

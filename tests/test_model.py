@@ -108,7 +108,7 @@ def test_exact_partition_matches_linear_space_oracle(rng, monkeypatch):
                 cond = inst.with_extra_boundary(extra)
                 plus = brute_log_z(cond.with_extra_boundary({v: 1}))
                 expected = 1 / (1 + math.exp(brute_log_z(cond.with_extra_boundary({v: -1})) - plus))
-                assert exact_marginal(inst, v, extra) == pytest.approx(expected, abs=1e-12)
+                assert exact_marginal(cond, v) == pytest.approx(expected, abs=1e-12)
 
 
 def test_exact_partition_cap():

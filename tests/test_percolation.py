@@ -1,13 +1,14 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from rfim import percolation as P
 from rfim.graph import Graph, bfs_distances
-from rfim.model import IsingInstance, exact_marginal, influence_bound
+from rfim.model import ENUMERATION_CAP, IsingInstance, exact_marginal, influence_bound
 from rfim.percolation import (
     SitePercolationSpec,
     connection_probability,
@@ -35,6 +36,11 @@ def test_spec_validation():
             SitePercolationSpec(g, np.array([0.5, bad, 0.5]))
     with pytest.raises(ValueError):
         SitePercolationSpec(g, np.zeros(3), frozenset({7}))
+    for bad in (0.5, 1.0, "0", None):
+        with pytest.raises(ValueError, match=re.escape(f"boundary vertex {bad!r} is not an integer")):
+            SitePercolationSpec(g, np.zeros(3), frozenset({bad}))
+    spec = SitePercolationSpec(g, np.zeros(3), frozenset({np.int64(2), 0}))
+    assert spec.boundary_open == {0, 2} and all(type(v) is int for v in spec.boundary_open)
 
 
 def test_connection_probability_two_site_product():
@@ -88,6 +94,11 @@ def test_connection_probability_input_errors():
     for bad in ({-1}, {7}, {2, 3}):
         with pytest.raises(ValueError, match="out of range"):
             connection_probability(spec, bad, 100, seed=0)
+    for bad in ({1.0}, {0.5}, {2, "1"}):
+        with pytest.raises(ValueError, match="target vertex .* is not an integer"):
+            connection_probability(spec, bad, 100, seed=0)
+    assert (connection_probability(spec, {np.int64(2)}, 100, seed=0)
+            == connection_probability(spec, {2}, 100, seed=0))
 
 
 def reference_cluster(g, open_, sources):
@@ -237,7 +248,9 @@ def test_coupling_validation():
     inst = IsingInstance(g, 1.0, np.zeros(4), {0: 1})
     with pytest.raises(ValueError):
         coupled_exploration(inst, {1: 1}, {0: 1}, seed=0)
-    big = IsingInstance(path_graph(25), 1.0, np.zeros(25), {0: 1})
+    # cap + 2 free vertices: the first site's marginal sums over cap + 1
+    n = ENUMERATION_CAP + 3
+    big = IsingInstance(path_graph(n), 1.0, np.zeros(n), {0: 1})
     with pytest.raises(ValueError):
         coupled_exploration(big, {0: 1}, {0: -1}, seed=0)
 
@@ -254,6 +267,52 @@ def test_sweep_single_trial_matches_exploration(rng):
         assert np.array_equal(plus_b, t.sigma_b == 1)
 
 
+def replay_exploration(inst, eta, xi, seed):
+    """The documented exploration, written out: the next site is the first
+    unexplored one next to the disagreement set, else the first by
+    (distance to the boundary, index); it takes one `random()` of
+    `default_rng(seed)`, and each side's spin is +1 when that uniform lies
+    below `exact_marginal` of the instance fixed to that side's spins."""
+    g = inst.graph
+    dist = bfs_distances(g, sorted(inst.boundary)) if inst.boundary else [0] * g.n
+    order = sorted((v for v in range(g.n) if v not in inst.boundary),
+                   key=lambda v: (dist[v] if dist[v] >= 0 else g.n + 1, v))
+    sides = [dict(eta), dict(xi)]
+    uniform = np.random.default_rng(seed).random
+    visited = []
+    while order:
+        near = [v for v in order if any(sides[0][w] != sides[1][w]
+                                        for w in g.adjacency[v] if w in sides[0])]
+        x = (near or order)[0]
+        order.remove(x)
+        u = uniform()
+        for side in sides:
+            cond = IsingInstance(g, inst.beta, inst.fields, side)
+            side[x] = +1 if u < exact_marginal(cond, x) else -1
+        visited.append(x)
+    a, b = ([side[v] for v in range(g.n)] for side in sides)
+    return a, b, [int(s != t) for s, t in zip(a, b)], visited
+
+
+def test_coupled_exploration_matches_documented_replay(rng):
+    for i in range(8):
+        n = int(rng.integers(6, 11))
+        g = random_connected_graph(n, rng, extra_edges=int(rng.integers(0, 4)))
+        if i % 4 == 3:  # add vertex n, which the boundary cannot reach
+            g = Graph.from_edges(n + 1, g.edges())
+        b1, b2 = (int(v) for v in rng.choice(n, 2, replace=False))
+        n = g.n
+        inst = IsingInstance(g, float(rng.uniform(-1.5, 1.5)), rng.uniform(-2, 2, n),
+                             {b1: 1, b2: 1})
+        eta, xi = {b1: 1, b2: -1}, {b1: -1, b2: [1, -1][i % 2]}
+        for seed in (i, 100 + i):
+            t = coupled_exploration(inst, eta, xi, seed)
+            a, b, disagree, visited = replay_exploration(inst, eta, xi, seed)
+            assert t.sigma_a.tolist() == a and t.sigma_b.tolist() == b
+            assert t.disagreement.tolist() == disagree
+            assert t.exploration_order == visited
+
+
 def test_sweep_rejects_non_positive_trials():
     inst = IsingInstance(path_graph(6), 1.0, np.zeros(6), {0: 1})
     for trials in (0, -1):
@@ -267,9 +326,9 @@ def test_sweep_enumerates_each_conditional_once(monkeypatch):
     inst = IsingInstance(path_graph(6), 0.7, np.linspace(-0.5, 0.5, 6), {0: 1})
     calls = []
 
-    def counted(inst, v, **kwargs):
-        calls.append((v, tuple(sorted(kwargs["extra"].items()))))
-        return exact_marginal(inst, v, **kwargs)
+    def counted(inst, v):
+        calls.append((v, tuple(sorted(inst.boundary.items()))))
+        return exact_marginal(inst, v)
 
     monkeypatch.setattr(P, "exact_marginal", counted)
     coupled_exploration_sweep(inst, {0: 1}, {0: 1}, 200, seed=3)

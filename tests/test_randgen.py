@@ -144,6 +144,17 @@ def test_field_spec_validation():
         FieldSpec("exotic")
     with pytest.raises(ValueError):
         FieldSpec("gaussian", variance=-1.0)
+    # the other kind's parameter must be 0, and a kind's own one finite and >= 0
+    for kind, kwargs in (("gaussian", {"variance": 1.0, "magnitude": 3.0}),
+                         ("two_point", {"variance": -5.0}),
+                         ("two_point", {"magnitude": 1.0, "variance": 1.0}),
+                         ("two_point", {"magnitude": -1.0}),
+                         ("two_point", {"magnitude": math.inf}),
+                         ("gaussian", {"variance": math.nan})):
+        with pytest.raises(ValueError, match=f"kind '{kind}' takes a finite"):
+            FieldSpec(kind, **kwargs)
+    assert FieldSpec("two_point", variance=0.0, magnitude=0.0).magnitude == 0.0
+    assert FieldSpec("gaussian", magnitude=-0.0).variance == 0.0
 
 
 def test_growth_path():
