@@ -4,13 +4,14 @@ Exit codes: 0 success, 1 input error (a bad argument, or a malformed, missing
 or unreadable file, `--out` included), 2 rejection by `check` (certified error
 above eps, or its walks ran out of `sawtree.NODE_BUDGET` nodes), 3 no mixing
 guarantee from `glauber` (the chain does not contract, or its certified step
-count is above `glauber.STEP_BUDGET`), 4 certified error too large (a
-`count` step's error reaches 1/4 at a forced `--depth`), or
-`sawtree.NODE_BUDGET` SAW-tree nodes walked by `count` or a draw of `sample`
-before a step's error fit eps/|free|, by a forced-depth pass or draw, or by
-`grow --saw-tree`.  A forced `--depth` gives no eps guarantee: `count` and
-`sample` only report their bound, `tau` null and `depth` the forced one;
-otherwise `tau` is the smallest tau a step walked at.
+count is above `glauber.STEP_BUDGET`), 4 `counting.CertifiedErrorTooLarge`
+(a `count` step's error reaches 1/4 at a forced `--depth`) or
+`sawtree.NodeBudgetExhausted` (any spent budget of `sawtree.NODE_BUDGET`
+SAW-tree nodes, in `count`, `sample` or `grow --saw-tree`; the message
+names the walk's vertex, and its tau when it prunes).  A forced `--depth`
+gives no eps guarantee: `count` and `sample` only report their bound, `tau`
+null and `depth` the forced one; otherwise `tau` is the smallest tau a step
+walked at.
 
 Each run parameter has one source.  `exact` caps at
 `model.ENUMERATION_CAP` free vertices, which no option lifts; `perc` reads
@@ -239,8 +240,6 @@ def cmd_grow(args) -> tuple[dict, int]:
     from . import randgen
 
     g = _read("graph", args.graph, graphmod.load)
-    if not 0 <= args.v < g.n:
-        raise ValueError(f"--v {args.v} is not a vertex of the {g.n}-vertex graph")
     counts = randgen.neighborhood_growth(g, args.v, args.lmax, in_saw_tree=args.saw_tree)
     return {"counts": counts}, EXIT_OK
 

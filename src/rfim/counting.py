@@ -55,8 +55,7 @@ def __getattr__(name):
 
 class CertifiedErrorTooLarge(CertificationFailed):
     """A count step's certified marginal error reached 1/4 at a forced
-    depth, or a step ran out of the node budget before its certified error
-    fit its allotment."""
+    depth.  A spent node budget is `rfim.sawtree.NodeBudgetExhausted`."""
 
 
 class CountResult(NamedTuple):
@@ -159,28 +158,23 @@ def _step(walker: SawWalker, v: int, boundary: dict, frontier, relative: bool) -
     The step's error is the walk's bracket width e, a bound on the
     marginal's distance from the exact one; for counting (`relative`) it is
     the log-ratio bound e/(p_hat - e), p_hat = max(p, 1 - p), and inf once e
-    reaches STEP_ERROR_LIMIT.  At a forced depth the step walks once, and a
-    count step of error inf raises CertifiedErrorTooLarge.  Otherwise it
-    walks at tau, tau/TAU_STEP, ... until its error fits the allotment;
-    tau ends at 0, where the walk has no frontier and width 0.  Running
-    out of the walker's budget raises NodeBudgetExhausted at a forced
-    depth, and otherwise CertifiedErrorTooLarge naming v and tau.
+    reaches STEP_ERROR_LIMIT.  The step walks at tau, tau/TAU_STEP, ...
+    until its error fits the allotment; tau ends at 0, where the walk has
+    no frontier and width 0.  At a forced depth (no tau) it walks once.  A
+    step that ends with error inf, a count step at a forced depth, raises
+    CertifiedErrorTooLarge; a walk that spends the walker's budget raises
+    NodeBudgetExhausted, naming v and, when the step prunes, tau.
     """
     cut, tau, allot = frontier
     while True:
-        try:
-            res = walker.walk(v, boundary, cut, tau or 0.0)
-        except NodeBudgetExhausted as e:
-            if tau is None:
-                raise
-            raise CertifiedErrorTooLarge(f"{e} at vertex {v}, tau={tau:.3g}") from None
+        res = walker.walk(v, boundary, cut, tau or 0.0)
         p, e = res.marginal, res.width
         if relative:
             e = e / (max(p, 1.0 - p) - e) if e < STEP_ERROR_LIMIT else math.inf
-        if tau is None and e == math.inf:
-            raise CertifiedErrorTooLarge(f"certified marginal error {res.width:.3g} "
-                                         f">= {STEP_ERROR_LIMIT} at vertex {v}")
         if tau is None or e <= allot:
+            if e == math.inf:
+                raise CertifiedErrorTooLarge(f"certified marginal error {res.width:.3g} "
+                                             f">= {STEP_ERROR_LIMIT} at vertex {v}")
             return _Step(p, e, tau, res.depth)
         tau /= TAU_STEP
 

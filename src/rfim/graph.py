@@ -32,9 +32,13 @@ class Graph(NamedTuple):
     def from_edges(n: int, edges) -> "Graph":
         """Edges in any order.  Each neighbour list is sorted in place, so
         an edge given twice, either way round, shows up as two equal
-        neighbours (the smallest such (a, b) is named); a negative n, and
-        endpoints that are not integers (numpy integers are), out-of-range
-        endpoints and self-loops are rejected first, as the edges are read."""
+        neighbours (the smallest such (a, b) is named); an n that is not an
+        integer (numpy integers are, bools are not) or is negative, and
+        endpoints that are not integers, out-of-range endpoints and
+        self-loops are rejected first, as the edges are read."""
+        if isinstance(n, bool) or not hasattr(n, "__index__"):
+            raise GraphFormatError(f"n must be an integer, got {n!r}")
+        n = index(n)
         if n < 0:
             raise GraphFormatError(f"n must be >= 0, got {n}")
         adj = [[] for _ in range(n)]
@@ -72,12 +76,12 @@ class Graph(NamedTuple):
 
 
 def vertex(n: int, v, what: str) -> int:
-    """v as a Python int (numpy integers count, floats do not) in 0..n-1;
-    otherwise a ValueError naming it as the `what` vertex."""
-    try:
-        i = index(v)
-    except TypeError:
-        raise ValueError(f"{what} vertex {v!r} is not an integer") from None
+    """v as a Python int (numpy integers count, bools and floats do not) in
+    0..n-1; otherwise a ValueError naming it as the `what` vertex.  Every
+    vertex argument of the library is checked here."""
+    if isinstance(v, bool) or not hasattr(v, "__index__"):
+        raise ValueError(f"{what} vertex {v!r} is not an integer")
+    i = index(v)
     if not 0 <= i < n:
         raise ValueError(f"{what} vertex {v} out of range")
     return i
@@ -91,16 +95,11 @@ def max_degree(g: Graph) -> int:
 
 def bfs_distances(g: Graph, source) -> list[int]:
     """Distances from a vertex (an int or a numpy integer) or from an iterable
-    of vertices; UNREACHABLE where no path."""
+    of vertices, each checked by `vertex`; UNREACHABLE where no path."""
     dist = [UNREACHABLE] * g.n
     q = deque()
-    try:
-        source = [index(source)]
-    except TypeError:
-        pass
-    for s in source:
-        if not 0 <= s < g.n:
-            raise IndexError(f"vertex {s} out of range")
+    for s in source if hasattr(source, "__iter__") else [source]:
+        s = vertex(g.n, s, "source")
         dist[s] = 0
         q.append(s)
     while q:

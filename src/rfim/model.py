@@ -166,10 +166,9 @@ def exact_marginal(inst: IsingInstance, v: int) -> float:
     more spins, pass `inst.with_extra_boundary(extra)`."""
     from .elimination import _region_log_z
 
+    v = graphmod.vertex(inst.graph.n, v, "marginal")
     if v in inst.boundary:
         raise ValueError(f"vertex {v} is fixed by the conditioning")
-    if not 0 <= v < inst.graph.n:
-        raise ValueError(f"vertex {v} out of range")
     _check_cap(len(inst.free_vertices) - 1)
     log_minus, log_plus = _region_log_z(inst, [v])
     return expit(log_plus - log_minus)

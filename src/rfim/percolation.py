@@ -5,6 +5,7 @@ domination and averaged-decay experiments."""
 from __future__ import annotations
 
 import math
+from operator import index
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -59,9 +60,16 @@ class Estimate(NamedTuple):
         return math.sqrt(max(self.p_hat * (1.0 - self.p_hat), 0.0) / self.trials)
 
 
+def _integer(x, what: str, low: int) -> int:
+    """x as a Python int >= low (numpy integers count, bools and floats do
+    not); otherwise a ValueError naming it."""
+    if isinstance(x, bool) or not hasattr(x, "__index__") or x < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {x!r}")
+    return index(x)
+
+
 def wilson_interval(successes: int, trials: int) -> Estimate:
-    if trials <= 0:
-        raise ValueError("trials must be > 0")
+    trials = _integer(trials, "trials", 1)
     z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -116,7 +124,8 @@ def connection_probability(
     Every trial runs `_cluster_hits` from the sorted `boundary_open` with
     the `random()` of one `random.Random(seed)`, so it draws one uniform per
     site that its search touches, in the order it touches them, and none
-    for the sites it never reaches.
+    for the sites it never reaches.  `trials` is an integer >= 1 and `seed`
+    one >= 0 (numpy integers count, bools and floats do not).
     """
     n = spec.graph.n
     targets = {vertex(n, v, "target") for v in targets}
@@ -125,9 +134,8 @@ def connection_probability(
         target[v] = 1
     if targets & spec.boundary_open:
         raise ValueError("targets must be disjoint from boundary_open")
-    if trials <= 0:
-        raise ValueError("trials must be > 0")
-    draw = Random(seed).random
+    trials = _integer(trials, "trials", 1)
+    draw = Random(_integer(seed, "seed", 0)).random
     p, sources = spec.probabilities, sorted(spec.boundary_open)
     hits = 0
     for _ in range(trials):
@@ -232,8 +240,7 @@ def coupled_exploration_sweep(
     """
     import numpy as np
 
-    if trials <= 0:
-        raise ValueError("trials must be > 0")
+    trials = _integer(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     memo: dict = {}
     n = inst.graph.n
@@ -319,6 +326,7 @@ def averaged_decay_profile(
     """
     import numpy as np
 
+    trials = _integer(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     dist = bfs_distances(g, x)
     sizes: dict[int, int] = {}

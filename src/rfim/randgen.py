@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .graph import Graph, bfs_distances
+from .graph import Graph, bfs_distances, vertex
 from .model import Frozen, IsingInstance
 
 FIELDS_FORMAT = "rfim-fields-v1"
@@ -27,14 +27,16 @@ GENERATOR_VERSION = "pcg64-ndtri-1"
 
 class FieldSpec(Frozen):
     """IID field distribution: gaussian(variance) or two_point (+-magnitude,
-    each with probability 1/2); the other kind's parameter must be 0."""
+    each with probability 1/2); the other kind's parameter must be 0, and
+    neither may be a bool."""
 
     def __init__(self, kind: str, variance: float = 0.0, magnitude: float = 0.0):
         if kind not in ("gaussian", "two_point"):
             raise ValueError(f"unknown field kind {kind!r}")
         own, other = ("variance", "magnitude") if kind == "gaussian" else ("magnitude", "variance")
         params = {"variance": variance, "magnitude": magnitude}
-        if not (0.0 <= params[own] < math.inf and params[other] == 0.0):
+        if (any(isinstance(x, bool) for x in params.values())
+                or not (0.0 <= params[own] < math.inf and params[other] == 0.0)):
             raise ValueError(f"kind {kind!r} takes a finite {own} >= 0 and {other} 0, "
                              f"got variance={variance!r}, magnitude={magnitude!r}")
         self.__dict__.update(kind=kind, **params)
@@ -149,9 +151,11 @@ def fields_to_json_dict(h: np.ndarray, spec: FieldSpec, seed: int) -> dict:
 def neighborhood_growth(
     g: Graph, v: int, ell_max: int, in_saw_tree: bool = False
 ) -> list[int]:
-    """|N(v, d)| for d = 1..ell_max, in the graph or in the SAW tree at v.
-    The SAW-tree walks share one walker's budget of NODE_BUDGET nodes, and
-    raise NodeBudgetExhausted when it runs out."""
+    """|N(v, d)| for d = 1..ell_max, in the graph or in the SAW tree at v,
+    a single vertex (`rfim.graph.vertex`).  The SAW-tree walks share one
+    walker's budget of NODE_BUDGET nodes, and raise NodeBudgetExhausted,
+    naming v, when it runs out."""
+    v = vertex(g.n, v, "centre")
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     if not in_saw_tree:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .graph import vertex
 from .model import CertificationFailed, IsingInstance, expit, influence_bound
 
 
@@ -39,11 +40,14 @@ NODE_BUDGET = 10**7
 
 
 class NodeBudgetExhausted(CertificationFailed):
-    """A walk would expand a node after its walker walked NODE_BUDGET nodes."""
+    """A walk would expand a node after its walker walked NODE_BUDGET nodes;
+    the message names the walk's root and, when the walk prunes by tau > 0,
+    its tau."""
 
-    def __init__(self, nodes: int):
-        super().__init__(f"node budget ran out after {nodes} walker nodes")
-        self.nodes = nodes
+    def __init__(self, nodes: int, root: int, tau: float):
+        msg = f"node budget ran out after {nodes} walker nodes at vertex {root}"
+        super().__init__(f"{msg}, tau={tau:.3g}" if tau > 0 else msg)
+        self.nodes, self.root, self.tau = nodes, root, tau
 
 
 class SawWalk(NamedTuple):
@@ -132,8 +136,9 @@ class SawWalker:
         A free child becomes a frontier leaf at depth `cut_depth`, or when
         the influence product of its expanded ancestors is below `tau`
         (tau = 0 prunes nothing).  The walk adds its nodes to `nodes`, and
-        raises NodeBudgetExhausted when it would expand a node once `nodes`
-        has passed NODE_BUDGET.
+        raises NodeBudgetExhausted, naming root and tau, when it would
+        expand a node once `nodes` has passed NODE_BUDGET.  A root that is
+        not a vertex is a ValueError (`rfim.graph.vertex`).
 
         Iterative depth-first walk in tree order.  Each expanded node keeps a
         frame (vertex, parent, neighbour iterator, running log-odds, bracket
@@ -153,8 +158,7 @@ class SawWalker:
         offsets stay 0 and cost no term; for beta >= 0, dh stays 0.  A
         certificate walker folds no terms at all.
         """
-        if not 0 <= root < self.n:
-            raise IndexError(f"root {root} out of range")
+        root = vertex(self.n, root, "root")
         if cut_depth is not None and cut_depth < 0:
             raise ValueError("cut_depth must be >= 0")
         est = self.h0 is None
@@ -210,7 +214,7 @@ class SawWalker:
                         dl += down
                     else:
                         if count > limit:
-                            raise NodeBudgetExhausted(self.nodes + count)
+                            raise NodeBudgetExhausted(self.nodes + count, root, tau)
                         frames.append((v, parent, it, acc, dh, dl, prod, path_gain))
                         parent, v = v, w
                         depth += 1

@@ -228,16 +228,3 @@ def ssm_certificate(tree: SawTree, h0: float) -> bool:
             stack.append((c, n_free, n_large))
     return paths_ok
 
-
-def dump(tree: SawTree) -> str:
-    """Pre-order debug dump: one record per line of
-    `depth graph_vertex fixed_spin child_count`, with '.' for a free spin."""
-    lines = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        spin = "." if node.fixed_spin is None else f"{node.fixed_spin:+d}"
-        lines.append(f"{node.depth} {node.graph_vertex} {spin} {len(node.children)}")
-        for c in reversed(node.children):
-            stack.append(c)
-    return "\n".join(lines)

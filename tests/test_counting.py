@@ -19,7 +19,7 @@ from rfim.counting import (
 )
 from rfim.graph import Graph
 from rfim.model import IsingInstance, exact_partition, exact_region_law, hamiltonian
-from rfim.randgen import FieldSpec, gen_er_graph, gen_fields
+from rfim.randgen import FieldSpec, gen_er_graph, gen_fields, neighborhood_growth
 from rfim.sawtree import NodeBudgetExhausted, SawWalker
 
 from conftest import random_connected_graph
@@ -463,11 +463,11 @@ def test_node_budget_exhaustion_raises(monkeypatch, tmp_path, capsys):
     # the count and the draw here certify in about 4,800 nodes each
     inst = variance_25_instance()
     monkeypatch.setattr(sawtree, "NODE_BUDGET", 2000)
-    with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
+    with pytest.raises(NodeBudgetExhausted, match="node budget"):
         approx_partition(inst, 0.01)
-    with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
+    with pytest.raises(NodeBudgetExhausted, match="node budget"):
         approx_sample(inst, 0.01, 0)
-    with pytest.raises(C.CertifiedErrorTooLarge, match="node budget"):
+    with pytest.raises(NodeBudgetExhausted, match="node budget"):
         sample_many(inst, 0.01, 0, 3)
     # a forced depth walks its pass under a budget too
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -516,7 +516,7 @@ def test_budget_message_names_the_vertex_and_tau(monkeypatch):
     monkeypatch.setattr(sawtree, "NODE_BUDGET", 300)
     inst = variance_25_instance()
     for run in (lambda: approx_partition(inst, 0.01), lambda: approx_sample(inst, 0.01, 0)):
-        with pytest.raises(C.CertifiedErrorTooLarge) as info:
+        with pytest.raises(NodeBudgetExhausted) as info:
             run()
         m = re.fullmatch(r"node budget ran out after (\d+) walker nodes at vertex (\d+), tau=(.+)",
                          str(info.value))
@@ -530,6 +530,25 @@ def test_budget_message_names_the_vertex_and_tau(monkeypatch):
         approx_partition(inst, 0.1, depth_override=1)
 
 
+# every path that walks under a node budget, and whether it prunes by tau
+@pytest.mark.parametrize("prunes, run", [
+    (True, lambda inst: approx_partition(inst, 0.01)),
+    (False, lambda inst: approx_partition(inst, 0.01, depth_override=math.inf)),
+    (True, lambda inst: approx_sample(inst, 0.01, 0)),
+    (True, lambda inst: sample_many(inst, 0.01, 0, 2)),
+    (False, lambda inst: neighborhood_growth(inst.graph, 7, 30, in_saw_tree=True)),
+])
+def test_every_spent_budget_raises_node_budget_exhausted(monkeypatch, prunes, run):
+    inst = variance_25_instance()
+    monkeypatch.setattr(sawtree, "NODE_BUDGET", 300)
+    with pytest.raises(NodeBudgetExhausted) as info:
+        run(inst)
+    e = info.value
+    assert e.root in inst.free_vertices and e.nodes > 300 and (e.tau > 0) == prunes
+    msg = f"node budget ran out after {e.nodes} walker nodes at vertex {e.root}"
+    assert str(e) == (f"{msg}, tau={e.tau:.3g}" if prunes else msg)
+
+
 def test_check_rejects_when_node_budget_runs_out(monkeypatch, tmp_path, capsys):
     inst = variance_25_instance()
     monkeypatch.setattr(sawtree, "NODE_BUDGET", 500)
@@ -537,7 +556,8 @@ def test_check_rejects_when_node_budget_runs_out(monkeypatch, tmp_path, capsys):
     assert not report.accepted and report.influence_ok
     assert report.paths_ok is False and report.certified_rel_err is None
     assert report.depth == 4
-    assert re.fullmatch(r"node budget ran out after \d+ walker nodes at depth 4", report.reason)
+    assert re.fullmatch(r"node budget ran out after \d+ walker nodes at vertex \d+, "
+                        rf"tau={re.escape(f'{report.tau:.3g}')} at depth 4", report.reason)
 
     from rfim.cli import cli_dispatch
 

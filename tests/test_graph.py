@@ -1,10 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from rfim import graph as G
 from rfim.graph import Graph, GraphFormatError, UNREACHABLE
+from rfim.model import IsingInstance, exact_marginal
+from rfim.percolation import SitePercolationSpec, connection_probability
+from rfim.randgen import neighborhood_growth
+from rfim.sawtree import SawWalker
 
 from conftest import random_connected_graph
 
@@ -23,13 +28,13 @@ def test_distance_examples():
     assert G.bfs_distances(path, 1)[1] == 0
     two = Graph.from_edges(2, [])
     assert G.bfs_distances(two, 0)[1] == UNREACHABLE
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^source vertex 5 out of range$"):
         G.bfs_distances(path, 5)
     # a numpy integer is one vertex, as an int is
     assert G.bfs_distances(path, np.int64(0)) == [0, 1, 2]
     assert G.bfs_distances(path, np.int32(1)) == [1, 0, 1]
     assert G.bfs_distances(path, [np.int64(0), 2]) == [0, 1, 0]
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="^source vertex 5 out of range$"):
         G.bfs_distances(path, np.int64(5))
 
 
@@ -124,6 +129,41 @@ def test_from_edges_error_messages(edges, message):
     with pytest.raises(GraphFormatError) as err:
         Graph.from_edges(3, edges)
     assert str(err.value) == message
+
+
+PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+PATH4_INST = IsingInstance(PATH4, 0.5, [0.1, -0.2, 0.3, 0.0])
+PATH4_SPEC = SitePercolationSpec(PATH4, [0.5] * 4, frozenset({0}))
+
+
+# every public entry point that takes a vertex, and the name it gives it
+@pytest.mark.parametrize("what, call", [
+    ("source", lambda v: G.bfs_distances(PATH4, v)),
+    ("source", lambda v: G.bfs_distances(PATH4, [0, v])),
+    ("source", lambda v: G.sphere(PATH4, v, 1)),
+    ("root", lambda v: SawWalker(PATH4_INST).walk(v, {})),
+    ("root", lambda v: SawWalker(PATH4_INST, h0=1.0).walk(v, {}, 2)),
+    ("marginal", lambda v: exact_marginal(PATH4_INST, v)),
+    ("centre", lambda v: neighborhood_growth(PATH4, v, 2)),
+    ("centre", lambda v: neighborhood_growth(PATH4, v, 2, in_saw_tree=True)),
+    ("boundary", lambda v: IsingInstance(PATH4, 0.5, [0.0] * 4, {v: 1})),
+    ("boundary", lambda v: SitePercolationSpec(PATH4, [0.5] * 4, frozenset({v}))),
+    ("target", lambda v: connection_probability(PATH4_SPEC, {v}, 10, 0)),
+])
+@pytest.mark.parametrize("bad", [-1, 4, 1.5, True])
+def test_every_vertex_argument_is_checked_by_vertex(what, call, bad):
+    problem = "out of range" if type(bad) is int else "is not an integer"
+    with pytest.raises(ValueError, match=f"^{what} vertex {re.escape(repr(bad))} {problem}$"):
+        call(bad)
+    call(np.int64(3))  # a numpy integer is a vertex
+
+
+def test_from_edges_rejects_non_integer_n():
+    for bad in (1.5, True, "2", None):
+        with pytest.raises(GraphFormatError, match=f"^n must be an integer, got {re.escape(repr(bad))}$"):
+            Graph.from_edges(bad, [])
+    g = Graph.from_edges(np.int64(2), [(0, 1)])
+    assert g == Graph(2, ((1,), (0,))) and type(g.n) is int
 
 
 def test_from_edges_rejects_negative_n():

@@ -101,6 +101,21 @@ def test_connection_probability_input_errors():
             == connection_probability(spec, {2}, 100, seed=0))
 
 
+def test_trials_and_seed_must_be_integers():
+    spec = SitePercolationSpec(path_graph(3), np.full(3, 0.5), frozenset({0}))
+    for trials in (1.5, True, 0, -2, "10", None):
+        with pytest.raises(ValueError, match=f"^trials must be an integer >= 1, got {re.escape(repr(trials))}$"):
+            connection_probability(spec, {2}, trials, seed=0)
+        with pytest.raises(ValueError, match="^trials must be an integer >= 1"):
+            wilson_interval(1, trials)
+    for seed in (1.5, True, -1, "0", None):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {re.escape(repr(seed))}$"):
+            connection_probability(spec, {2}, 10, seed)
+    est = connection_probability(spec, {2}, np.int64(50), np.int64(3))
+    assert est == connection_probability(spec, {2}, 50, 3) and type(est.trials) is int
+    assert type(wilson_interval(1, np.int32(4)).trials) is int
+
+
 def reference_cluster(g, open_, sources):
     """Open vertices joined to the open `sources`, by breadth-first layers."""
     reach = {v for v in sources if open_[v]}

@@ -150,7 +150,12 @@ def test_field_spec_validation():
                          ("two_point", {"magnitude": 1.0, "variance": 1.0}),
                          ("two_point", {"magnitude": -1.0}),
                          ("two_point", {"magnitude": math.inf}),
-                         ("gaussian", {"variance": math.nan})):
+                         ("gaussian", {"variance": math.nan}),
+                         # a bool is not a parameter, in either role
+                         ("gaussian", {"variance": True}),
+                         ("gaussian", {"variance": 1.0, "magnitude": False}),
+                         ("two_point", {"magnitude": True}),
+                         ("two_point", {"magnitude": 1.0, "variance": False})):
         with pytest.raises(ValueError, match=f"kind '{kind}' takes a finite"):
             FieldSpec(kind, **kwargs)
     assert FieldSpec("two_point", variance=0.0, magnitude=0.0).magnitude == 0.0

@@ -15,7 +15,6 @@ from rfim.sawtree_oracle import (
     SawTree,
     build_saw_tree,
     certified_truncation_error,
-    dump,
     root_log_odds,
     root_marginal,
     ssm_certificate,
@@ -26,14 +25,16 @@ from conftest import random_connected_graph
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
 FOUR_CYCLE = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
-TRIANGLE_DUMP = """\
-0 0 . 2
-1 1 . 1
-2 2 . 1
-3 0 +1 0
-1 2 . 1
-2 1 . 1
-3 0 -1 0"""
+# pre-order (depth, vertex, fixed spin, child count) of the triangle's tree at 0
+TRIANGLE_RECORDS = [
+    (0, 0, None, 2),
+    (1, 1, None, 1),
+    (2, 2, None, 1),
+    (3, 0, +1, 0),
+    (1, 2, None, 1),
+    (2, 1, None, 1),
+    (3, 0, -1, 0),
+]
 
 
 def zero_inst(g, beta=1.0):
@@ -57,7 +58,8 @@ def test_tree_graph_gives_isomorphic_tree(rng):
 def test_triangle_structure_golden():
     tree = build_saw_tree(zero_inst(TRIANGLE), 0)
     assert tree.node_count == 7
-    assert dump(tree) == TRIANGLE_DUMP
+    assert [(n.depth, n.graph_vertex, n.fixed_spin, len(n.children))
+            for n in collect(tree.root)] == TRIANGLE_RECORDS
 
 
 def test_four_cycle_structure():
