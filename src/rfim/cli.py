@@ -198,7 +198,7 @@ def _config_int(cfg: dict, key: str, default: int) -> int:
     x = cfg[key]
     if isinstance(x, float) and x.is_integer():
         x = int(x)
-    if not graphmod.is_int(x) or x < 0:
+    if not graphmod.whole(x) or x < 0:
         raise ValueError(f"{key!r} must be a non-negative integer, got {x!r}")
     return x
 
@@ -215,7 +215,7 @@ def cmd_perc(args) -> tuple[dict, int]:
         seed = _config_int(cfg, "seed", 0)
         region = cfg["A"]
         eta, xi = ({model.vertex_key(v): s for v, s in cfg[k].items()} for k in ("eta", "xi"))
-        if not all(map(graphmod.is_int, [*region, *eta.values(), *xi.values()])):
+        if not all(map(graphmod.whole, [*region, *eta.values(), *xi.values()])):
             raise ValueError("'A' and the 'eta' and 'xi' spins must be integers")
         inst_path = os.path.join(os.path.dirname(path) or ".", cfg["instance"])
         return inst_path, region, eta, xi, trials, seed

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import random
-from operator import index
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graph import max_degree
-from .model import CertificationFailed, IsingInstance, check_eps, hamiltonian, influence_bound
+from .graph import integer, max_degree, whole
+from .model import (CertificationFailed, IsingInstance, check_eps, finite, hamiltonian,
+                    influence_bound)
 from .sawtree import NodeBudgetExhausted, SawWalker
 
 if TYPE_CHECKING:
@@ -147,9 +147,9 @@ def _frontier(inst: IsingInstance, eps: float, depth_override):
     if depth_override is None:
         return None, 10.0 * allot, allot
     d = depth_override
-    if d != math.inf and (isinstance(d, bool) or not hasattr(d, "__index__") or d < 0):
+    if d != math.inf and not (whole(d) and d >= 0):
         raise ValueError(f"depth_override must be None, math.inf or an integer >= 0, got {d!r}")
-    return (None if d >= inst.graph.n else index(d)), None, allot
+    return (None if d >= inst.graph.n else int(d)), None, allot
 
 
 def _step(walker: SawWalker, v: int, boundary: dict, frontier, relative: bool) -> _Step:
@@ -249,7 +249,8 @@ def approx_sample(
     variation.  The draw's walks share one budget of NODE_BUDGET walker
     nodes.  A forced depth gives no eps guarantee: the draw walks each step
     once at that uniform cut and only reports its step errors."""
-    return next(_draws(inst, _frontier(inst, eps, depth_override), seed))
+    frontier = _frontier(inst, eps, depth_override)
+    return next(_draws(inst, frontier, random.Random(integer(seed, "seed", 0))))
 
 
 def sample_many(
@@ -268,20 +269,19 @@ def sample_many(
     """
     import numpy as np
 
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    frontier = _frontier(inst, eps, depth_override)
+    draws = _draws(inst, frontier, random.Random(integer(seed, "seed", 0)))
+    count = integer(count, "count", 0)
     out = np.empty((count, inst.graph.n), dtype=int)
-    draws = _draws(inst, _frontier(inst, eps, depth_override), seed)
     for i, res in zip(range(count), draws):
         out[i] = res.config
     return out
 
 
-def _draws(inst: IsingInstance, frontier, seed: int):
-    """Sequential draws from one `random.Random(seed)`, of which a draw
-    takes one `random()` per free vertex, against a shared step cache;
-    each draw resets the walker's budget."""
-    rng = random.Random(seed)
+def _draws(inst: IsingInstance, frontier, rng: random.Random):
+    """Sequential draws from `rng`, of which a draw takes one `random()` per
+    free vertex, against a shared step cache; each draw resets the walker's
+    budget."""
     walker = SawWalker(inst)
     cache: dict = {}
 
@@ -314,7 +314,7 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
     delta = max_degree(inst.graph)
     if h0 is None:
         h0 = default_h0(delta, inst.beta)
-    elif not 0.0 <= h0 < math.inf:  # the path rule reads h0 as given, M reads |h0|
+    elif not (finite(h0) and h0 >= 0.0):  # the path rule reads h0 as given, M reads |h0|
         raise ValueError(f"h0 must be a non-negative finite number, got {h0!r}")
     rate = rate_constant(delta, h0, inst.beta)
     if rate is None:

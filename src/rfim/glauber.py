@@ -12,7 +12,7 @@ import math
 from random import Random
 from typing import TYPE_CHECKING
 
-from .graph import max_degree
+from .graph import integer, max_degree
 from .model import IsingInstance, check_eps, expit, influence_bound
 
 if TYPE_CHECKING:
@@ -44,6 +44,7 @@ def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> list[int] | No
     None when no mixing guarantee exists or it needs more than STEP_BUDGET
     steps."""
     check_eps(eps)
+    rng = Random(integer(seed, "seed", 0))
     free = inst.free_vertices
     if not free:
         return [inst.boundary[v] for v in range(inst.graph.n)]
@@ -51,7 +52,7 @@ def glauber_sample(inst: IsingInstance, eps: float, seed: int) -> list[int] | No
     steps = mixing_time_bound(inst.graph.n, max_degree(inst.graph), inst.beta, h_min, eps)
     if steps is None or steps > STEP_BUDGET:
         return None
-    return _chains(inst, steps, 1, seed)[0]
+    return _chains(inst, steps, 1, rng)[0]
 
 
 def _conditional_table(inst: IsingInstance) -> tuple[list[float], list[int]]:
@@ -94,17 +95,15 @@ def run_chains(inst: IsingInstance, steps: int, n_chains: int, seed: int) -> np.
     """
     import numpy as np
 
-    return np.array(_chains(inst, steps, n_chains, seed), dtype=int).reshape(
-        n_chains, inst.graph.n)
+    steps, n_chains = integer(steps, "steps", 0), integer(n_chains, "n_chains", 0)
+    configs = _chains(inst, steps, n_chains, Random(integer(seed, "seed", 0)))
+    return np.array(configs, dtype=int).reshape(n_chains, inst.graph.n)
 
 
-def _chains(inst: IsingInstance, steps: int, n_chains: int, seed: int) -> list[list[int]]:
-    """`run_chains`' configurations as lists of spins; an update reads its
-    vertex's shared row centre and its neighbours with one lookup."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if n_chains < 0:
-        raise ValueError(f"n_chains must be >= 0, got {n_chains}")
+def _chains(inst: IsingInstance, steps: int, n_chains: int, rng: Random) -> list[list[int]]:
+    """`run_chains`' configurations as lists of spins, drawn from `rng`; an
+    update reads its vertex's shared row centre and its neighbours with one
+    lookup."""
     start = [1] * inst.graph.n
     for v, s in inst.boundary.items():
         start[v] = s
@@ -114,7 +113,7 @@ def _chains(inst: IsingInstance, steps: int, n_chains: int, seed: int) -> list[l
     k = len(free)
     table, centre = _conditional_table(inst)
     rows = list(zip(centre, inst.graph.adjacency))
-    random, floor = Random(seed).random, math.floor
+    random, floor = rng.random, math.floor
     configs = []
     for _ in range(n_chains):
         config = start.copy()
@@ -140,9 +139,8 @@ def coupled_drift_estimate(
     """
     import numpy as np
 
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-    rng = np.random.default_rng(seed)
+    trials = integer(trials, "trials", 2)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     free = inst.free_vertices
     if not free:
         raise ValueError("no free vertex")

@@ -36,17 +36,18 @@ class Graph(NamedTuple):
         integer (numpy integers are, bools are not) or is negative, and
         endpoints that are not integers, out-of-range endpoints and
         self-loops are rejected first, as the edges are read."""
-        if isinstance(n, bool) or not hasattr(n, "__index__"):
+        if not whole(n):
             raise GraphFormatError(f"n must be an integer, got {n!r}")
         n = index(n)
         if n < 0:
             raise GraphFormatError(f"n must be >= 0, got {n}")
         adj = [[] for _ in range(n)]
         for a, b in edges:
-            try:
+            # a plain int is whole; only other endpoints pay for the call
+            if type(a) is not int or type(b) is not int:
+                if not (whole(a) and whole(b)):
+                    raise GraphFormatError(f"edge ({a},{b}) has a non-integer endpoint")
                 a, b = index(a), index(b)
-            except TypeError:
-                raise GraphFormatError(f"edge ({a},{b}) has a non-integer endpoint") from None
             if not (0 <= a < n and 0 <= b < n):
                 raise GraphFormatError(f"edge ({a},{b}) out of range for n={n}")
             if a == b:
@@ -75,11 +76,26 @@ class Graph(NamedTuple):
         return out
 
 
+def whole(x) -> bool:
+    """Whether x is an integer: an int or a numpy integer, never a bool (nor
+    a float, however integral).  The library decides here alone what an
+    integer argument is."""
+    return hasattr(x, "__index__") and not isinstance(x, bool)
+
+
+def integer(x, what: str, low: int) -> int:
+    """x as a Python int >= low (see `whole`); otherwise a ValueError naming
+    it.  Every seed, count and size argument of the library is checked here."""
+    if not whole(x) or x < low:
+        raise ValueError(f"{what} must be an integer >= {low}, got {x!r}")
+    return index(x)
+
+
 def vertex(n: int, v, what: str) -> int:
-    """v as a Python int (numpy integers count, bools and floats do not) in
-    0..n-1; otherwise a ValueError naming it as the `what` vertex.  Every
-    vertex argument of the library is checked here."""
-    if isinstance(v, bool) or not hasattr(v, "__index__"):
+    """v as a Python int (see `whole`) in 0..n-1; otherwise a ValueError
+    naming it as the `what` vertex.  Every vertex argument of the library is
+    checked here."""
+    if not whole(v):
         raise ValueError(f"{what} vertex {v!r} is not an integer")
     i = index(v)
     if not 0 <= i < n:
@@ -112,20 +128,14 @@ def bfs_distances(g: Graph, source) -> list[int]:
 
 
 def sphere(g: Graph, v: int, ell: int) -> set[int]:
-    """Vertices at distance exactly ell from v."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
+    """Vertices at distance exactly ell (an integer >= 0) from v."""
+    ell = integer(ell, "ell", 0)
     dist = bfs_distances(g, v)
     return {w for w in range(g.n) if dist[w] == ell}
 
 
 def to_json_dict(g: Graph) -> dict:
     return {"format": GRAPH_FORMAT, "n": g.n, "edges": [list(e) for e in g.edges()]}
-
-
-def is_int(x) -> bool:
-    """A JSON integer: an int, not a bool."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def from_json_dict(obj: dict) -> Graph:
@@ -135,7 +145,7 @@ def from_json_dict(obj: dict) -> Graph:
     if not isinstance(obj, dict) or obj.get("format") != GRAPH_FORMAT:
         raise GraphFormatError(f"expected format {GRAPH_FORMAT!r}")
     n = obj.get("n")
-    if not is_int(n) or n < 0:
+    if not whole(n) or n < 0:
         raise GraphFormatError("field 'n' must be a non-negative integer")
     edges = obj.get("edges")
     if not isinstance(edges, list):

@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from array import array
 from math import exp
+from numbers import Real
 from typing import Sequence
 
 from . import graph as graphmod
@@ -43,8 +43,16 @@ def expit(x: float) -> float:
         return 0.0
 
 
+def finite(x) -> bool:
+    """Whether x is a finite real: an int, a float or a numpy real, never a
+    bool, a string or a complex.  The library decides here alone what a
+    real argument is."""
+    # float and int first: the Real check alone takes several times longer
+    return isinstance(x, (float, int, Real)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
+    if not (finite(eps) and 0.0 < eps < 1.0):
         raise ValueError("eps must lie in (0,1)")
 
 
@@ -97,25 +105,17 @@ class IsingInstance(Frozen):
             size = None
         if size != n:
             raise ValueError(f"fields must have one entry per vertex (got {size} for {n})")
-        if not math.isfinite(beta):
-            raise ValueError(f"beta must be finite, got {beta}")
+        if not finite(beta):
+            raise ValueError(f"beta must be a finite real, got {beta!r}")
         for v, x in enumerate(fields):
-            try:
-                ok = math.isfinite(x)
-            except TypeError:
-                ok = False
-            if not ok:
-                raise ValueError(f"field at vertex {v} must be finite, got {x!r}")
+            if not finite(x):
+                raise ValueError(f"field at vertex {v} must be a finite real, got {x!r}")
         spins = {}
         for v, s in (boundary or {}).items():
             v = graphmod.vertex(n, v, "boundary")
-            try:
-                spin = operator.index(s)
-            except TypeError:
-                spin = None
-            if isinstance(s, bool) or spin not in (-1, 1):
+            if not (graphmod.whole(s) and s in (-1, 1)):
                 raise ValueError(f"boundary spin at {v} must be +-1, got {s!r}")
-            spins[v] = spin
+            spins[v] = int(s)
         self.__dict__.update(graph=graph, beta=beta, fields=fields, boundary=spins)
 
     @property
@@ -180,14 +180,14 @@ def exact_region_law(inst: IsingInstance, region: list[int]) -> dict[tuple[int, 
     vertices."""
     from .elimination import _region_log_z
 
-    free = inst.free_vertices
-    _check_cap(len(free))
+    _check_cap(len(inst.free_vertices))
+    region = [graphmod.vertex(inst.graph.n, v, "region") for v in region]
     for v in region:
-        if v not in free:
+        if v in inst.boundary:
             raise ValueError(f"region vertex {v} is not free")
     if len(set(region)) != len(region):
-        raise ValueError(f"region {list(region)} repeats a vertex")
-    log_z = _region_log_z(inst, list(region))
+        raise ValueError(f"region {region} repeats a vertex")
+    log_z = _region_log_z(inst, region)
     top = max(log_z)
     weights = [exp(x - top) for x in log_z]
     total = math.fsum(weights)
@@ -203,8 +203,6 @@ def influence_bound(delta: float, h: float, beta: float) -> float:
     large positive h.  Any finite h is accepted: once 2|h| - 2|beta|*delta
     exceeds about 709, both sigmoids are 0.0 and so is M.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
     h = -abs(h)
     return abs(expit(2.0 * h + 2.0 * beta * delta) - expit(2.0 * h - 2.0 * beta * delta))
 
@@ -241,11 +239,11 @@ def from_json_dict(obj: dict, base_dir: str = ".") -> IsingInstance:
     if not isinstance(fields, list):
         raise ValueError(f"fields must be a list of numbers, got {type(fields).__name__}")
     for v, x in enumerate(fields):
-        if not (graphmod.is_int(x) or isinstance(x, float)):
-            raise ValueError(f"field at vertex {v} must be a number, got {x!r}")
+        if not finite(x):
+            raise ValueError(f"field at vertex {v} must be a finite real, got {x!r}")
     beta = obj["beta"]
-    if not (graphmod.is_int(beta) or isinstance(beta, float)):
-        raise ValueError(f"beta must be a number, got {beta!r}")
+    if not finite(beta):
+        raise ValueError(f"beta must be a finite real, got {beta!r}")
     boundary = {vertex_key(v): s for v, s in obj.get("boundary", {}).items()}
     # an array("d") holds 8 bytes per field, as a numpy array would; a list
     # of floats holds about 32

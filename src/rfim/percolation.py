@@ -5,16 +5,16 @@ domination and averaged-decay experiments."""
 from __future__ import annotations
 
 import math
-from operator import index
 from random import Random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .graph import Graph, bfs_distances, vertex, UNREACHABLE
+from .graph import Graph, bfs_distances, integer, vertex, UNREACHABLE
 from .model import (
     Frozen,
     IsingInstance,
     exact_marginal,
     exact_region_law,
+    finite,
     influence_bound,
 )
 
@@ -28,8 +28,8 @@ WILSON_Z = 3.0
 class SitePercolationSpec(Frozen):
     """Graph with per-vertex open probabilities; `boundary_open` vertices are
     open with probability one (closed boundary vertices get probability 0).
-    `probabilities` is stored as a list of floats, `boundary_open` as a
-    frozenset of Python ints."""
+    `probabilities` are finite reals (`rfim.model.finite`), stored as a list
+    of floats, and `boundary_open` is stored as a frozenset of Python ints."""
 
     def __init__(
         self,
@@ -37,10 +37,10 @@ class SitePercolationSpec(Frozen):
         probabilities: Sequence[float],
         boundary_open: frozenset[int] = frozenset(),
     ):
-        p = [float(x) for x in probabilities]
+        p = [float(x) if finite(x) else math.nan for x in probabilities]
         if len(p) != graph.n:
             raise ValueError("one probability per vertex required")
-        if not all(0.0 <= x <= 1.0 for x in p):  # False for NaN as well
+        if not all(0.0 <= x <= 1.0 for x in p):  # False for NaN, so for a non-real
             raise ValueError("probabilities must lie in [0,1]")
         boundary_open = frozenset(vertex(graph.n, v, "boundary") for v in boundary_open)
         self.__dict__.update(graph=graph, probabilities=p, boundary_open=boundary_open)
@@ -60,16 +60,8 @@ class Estimate(NamedTuple):
         return math.sqrt(max(self.p_hat * (1.0 - self.p_hat), 0.0) / self.trials)
 
 
-def _integer(x, what: str, low: int) -> int:
-    """x as a Python int >= low (numpy integers count, bools and floats do
-    not); otherwise a ValueError naming it."""
-    if isinstance(x, bool) or not hasattr(x, "__index__") or x < low:
-        raise ValueError(f"{what} must be an integer >= {low}, got {x!r}")
-    return index(x)
-
-
 def wilson_interval(successes: int, trials: int) -> Estimate:
-    trials = _integer(trials, "trials", 1)
+    trials = integer(trials, "trials", 1)
     z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -125,7 +117,7 @@ def connection_probability(
     the `random()` of one `random.Random(seed)`, so it draws one uniform per
     site that its search touches, in the order it touches them, and none
     for the sites it never reaches.  `trials` is an integer >= 1 and `seed`
-    one >= 0 (numpy integers count, bools and floats do not).
+    one >= 0 (`rfim.graph.integer`).
     """
     n = spec.graph.n
     targets = {vertex(n, v, "target") for v in targets}
@@ -134,8 +126,8 @@ def connection_probability(
         target[v] = 1
     if targets & spec.boundary_open:
         raise ValueError("targets must be disjoint from boundary_open")
-    trials = _integer(trials, "trials", 1)
-    draw = Random(_integer(seed, "seed", 0)).random
+    trials = integer(trials, "trials", 1)
+    draw = Random(integer(seed, "seed", 0)).random
     p, sources = spec.probabilities, sorted(spec.boundary_open)
     hits = 0
     for _ in range(trials):
@@ -180,7 +172,7 @@ def coupled_exploration(
     """
     import numpy as np
 
-    return _explore(inst, eta, xi, np.random.default_rng(seed), {})
+    return _explore(inst, eta, xi, np.random.default_rng(integer(seed, "seed", 0)), {})
 
 
 def _explore(
@@ -240,8 +232,8 @@ def coupled_exploration_sweep(
     """
     import numpy as np
 
-    trials = _integer(trials, "trials", 1)
-    rng = np.random.default_rng(seed)
+    trials = integer(trials, "trials", 1)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     memo: dict = {}
     n = inst.graph.n
     s_count = np.zeros(n)
@@ -326,8 +318,8 @@ def averaged_decay_profile(
     """
     import numpy as np
 
-    trials = _integer(trials, "trials", 1)
-    rng = np.random.default_rng(seed)
+    trials = integer(trials, "trials", 1)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     dist = bfs_distances(g, x)
     sizes: dict[int, int] = {}
     for y in range(g.n):

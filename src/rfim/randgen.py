@@ -18,8 +18,8 @@ import math
 
 import numpy as np
 
-from .graph import Graph, bfs_distances, vertex
-from .model import Frozen, IsingInstance
+from .graph import Graph, bfs_distances, integer, vertex
+from .model import Frozen, IsingInstance, finite
 
 FIELDS_FORMAT = "rfim-fields-v1"
 GENERATOR_VERSION = "pcg64-ndtri-1"
@@ -28,15 +28,15 @@ GENERATOR_VERSION = "pcg64-ndtri-1"
 class FieldSpec(Frozen):
     """IID field distribution: gaussian(variance) or two_point (+-magnitude,
     each with probability 1/2); the other kind's parameter must be 0, and
-    neither may be a bool."""
+    both are finite reals (`rfim.model.finite`)."""
 
     def __init__(self, kind: str, variance: float = 0.0, magnitude: float = 0.0):
         if kind not in ("gaussian", "two_point"):
             raise ValueError(f"unknown field kind {kind!r}")
         own, other = ("variance", "magnitude") if kind == "gaussian" else ("magnitude", "variance")
         params = {"variance": variance, "magnitude": magnitude}
-        if (any(isinstance(x, bool) for x in params.values())
-                or not (0.0 <= params[own] < math.inf and params[other] == 0.0)):
+        if not (all(map(finite, params.values())) and params[own] >= 0.0
+                and params[other] == 0.0):
             raise ValueError(f"kind {kind!r} takes a finite {own} >= 0 and {other} 0, "
                              f"got variance={variance!r}, magnitude={magnitude!r}")
         self.__dict__.update(kind=kind, **params)
@@ -47,12 +47,13 @@ def gen_er_graph(n: int, delta: float, seed: int) -> Graph:
 
     One uniform per pair i < j, drawn row by row in the order of
     np.triu_indices(n, k=1), so memory is O(n + m) rather than O(n^2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", 1)
+    if not finite(delta):
+        raise ValueError(f"delta must be a finite real, got {delta!r}")
     p = delta / n
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0,1]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     edges = []
     for i in range(n - 1):
         hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
@@ -124,9 +125,8 @@ def gaussian_from_uniform(u: np.ndarray, variance: float) -> np.ndarray:
 
 
 def gen_fields(n: int, spec: FieldSpec, seed: int) -> np.ndarray:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    n = integer(n, "n", 1)
+    rng = np.random.default_rng(integer(seed, "seed", 0))
     if spec.kind == "gaussian":
         return gaussian_from_uniform(rng.random(n), spec.variance)
     sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
@@ -156,8 +156,7 @@ def neighborhood_growth(
     walker's budget of NODE_BUDGET nodes, and raise NodeBudgetExhausted,
     naming v, when it runs out."""
     v = vertex(g.n, v, "centre")
-    if ell_max < 1:
-        raise ValueError("ell_max must be >= 1")
+    ell_max = integer(ell_max, "ell_max", 1)
     if not in_saw_tree:
         dist = bfs_distances(g, v)
         counts = [0] * ell_max

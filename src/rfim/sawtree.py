@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .graph import vertex
+from .graph import integer, vertex
 from .model import CertificationFailed, IsingInstance, expit, influence_bound
 
 
@@ -159,8 +159,8 @@ class SawWalker:
         certificate walker folds no terms at all.
         """
         root = vertex(self.n, root, "root")
-        if cut_depth is not None and cut_depth < 0:
-            raise ValueError("cut_depth must be >= 0")
+        if cut_depth is not None:
+            cut_depth = integer(cut_depth, "cut_depth", 0)
         est = self.h0 is None
         paths_ok = None if est else True
         if root in boundary:

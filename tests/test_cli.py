@@ -282,6 +282,31 @@ def test_no_parameter_is_ignored():
     assert found == ["model.Frozen.__setattr__(value)"]
 
 
+def bool_tests(src: Path) -> set[str]:
+    """`module.function` (or `module.<module>`) of every `isinstance(x, bool)`,
+    or `isinstance` with bool in a tuple, in `src/*.py`."""
+    found = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))):
+                continue
+            while not isinstance(node, (ast.FunctionDef, ast.Module)):
+                node = parent[node]
+            found.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return found
+
+
+def test_each_number_rule_has_one_home():
+    # graph.whole decides what an integer argument is, model.finite what a
+    # real one is; nothing else asks for __index__ or rules out a bool
+    src = Path(__file__).resolve().parents[1] / "src" / "rfim"
+    assert sorted(p.stem for p in src.glob("*.py") if "__index__" in p.read_text()) == ["graph"]
+    assert bool_tests(src) == {"graph.whole", "model.finite"}
+
+
 def test_import_cli_loads_no_numpy():
     res = subprocess.run(
         [sys.executable, "-c", "import sys, rfim.cli; print('numpy' in sys.modules)"],
@@ -373,7 +398,8 @@ def test_generators_reject_n_below_one(sub, n):
     # "negative dimensions are not allowed"
     argv = [sub, "--n", n, *(["--delta", "2"] if sub == "gen-graph" else [])]
     res = run_cli(*argv)
-    assert (res.returncode, res.stdout, res.stderr) == (1, "", "error: n must be >= 1\n")
+    assert (res.returncode, res.stdout, res.stderr) == (
+        1, "", f"error: n must be an integer >= 1, got {n}\n")
 
 
 def test_input_errors_exit_one(tmp_path):

@@ -397,7 +397,7 @@ def test_depth_override_and_count_validation():
         res = approx_sample(inst, 0.1, 3, depth_override=depth)
         assert approx_sample(inst, 0.1, 3, depth_override=np.int64(min(depth, 7))) == res
         assert res.depth_used == (None if depth >= 3 else depth)
-    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="count must be an integer >= 0, got -1"):
         sample_many(inst, 0.1, 0, -1)
     assert sample_many(inst, 0.1, 0, 0).shape == (0, 3)
 

@@ -1,14 +1,23 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
 from rfim import graph as G
+from rfim.counting import approx_partition, approx_sample, check_instance, sample_many
+from rfim.glauber import coupled_drift_estimate, glauber_sample, run_chains
 from rfim.graph import Graph, GraphFormatError, UNREACHABLE
-from rfim.model import IsingInstance, exact_marginal
-from rfim.percolation import SitePercolationSpec, connection_probability
-from rfim.randgen import neighborhood_growth
+from rfim.model import IsingInstance, exact_marginal, exact_partition, exact_region_law
+from rfim.percolation import (
+    SitePercolationSpec,
+    averaged_decay_profile,
+    connection_probability,
+    coupled_exploration,
+    coupled_exploration_sweep,
+)
+from rfim.randgen import FieldSpec, gen_er_graph, gen_fields, neighborhood_growth
 from rfim.sawtree import SawWalker
 
 from conftest import random_connected_graph
@@ -124,6 +133,10 @@ def test_from_edges_matches_set_based_reference(rng):
     # a float endpoint is rejected, not truncated
     ([(0.5, 1)], "edge (0.5,1) has a non-integer endpoint"),
     ([(0, 2.0)], "edge (0,2.0) has a non-integer endpoint"),
+    # nor is a bool or a string, though True == 1
+    ([(False, True)], "edge (False,True) has a non-integer endpoint"),
+    ([(1, True)], "edge (1,True) has a non-integer endpoint"),
+    ([("1", 0)], "edge (1,0) has a non-integer endpoint"),
 ])
 def test_from_edges_error_messages(edges, message):
     with pytest.raises(GraphFormatError) as err:
@@ -144,6 +157,7 @@ PATH4_SPEC = SitePercolationSpec(PATH4, [0.5] * 4, frozenset({0}))
     ("root", lambda v: SawWalker(PATH4_INST).walk(v, {})),
     ("root", lambda v: SawWalker(PATH4_INST, h0=1.0).walk(v, {}, 2)),
     ("marginal", lambda v: exact_marginal(PATH4_INST, v)),
+    ("region", lambda v: exact_region_law(PATH4_INST, [v])),
     ("centre", lambda v: neighborhood_growth(PATH4, v, 2)),
     ("centre", lambda v: neighborhood_growth(PATH4, v, 2, in_saw_tree=True)),
     ("boundary", lambda v: IsingInstance(PATH4, 0.5, [0.0] * 4, {v: 1})),
@@ -156,6 +170,73 @@ def test_every_vertex_argument_is_checked_by_vertex(what, call, bad):
     with pytest.raises(ValueError, match=f"^{what} vertex {re.escape(repr(bad))} {problem}$"):
         call(bad)
     call(np.int64(3))  # a numpy integer is a vertex
+
+
+PINNED = IsingInstance(PATH4, 0.5, [0.1, -0.2, 0.3, 0.0], {0: 1})
+STRONG = IsingInstance(PATH4, 0.5, [3.0, -3.0, 3.0, 3.0])  # glauber_sample runs its chain
+GAUSS = FieldSpec("gaussian", variance=1.0)
+
+
+def decay(trials, seed):
+    return averaged_decay_profile(PATH4, lambda rng: rng.normal(size=4), 0.5, 0, trials, seed)
+
+
+# every public integer argument, its lowest value and the name its check
+# gives it: seeds, counts, steps, chains, trials, sizes, distances and depths
+@pytest.mark.parametrize("what, low, call", [
+    ("seed", 0, lambda x: approx_sample(PATH4_INST, 0.1, x)),
+    ("seed", 0, lambda x: sample_many(PATH4_INST, 0.1, x, 2)),
+    ("seed", 0, lambda x: sample_many(PATH4_INST, 0.1, x, 0)),  # before any draw
+    ("count", 0, lambda x: sample_many(PATH4_INST, 0.1, 0, x)),
+    ("seed", 0, lambda x: glauber_sample(STRONG, 0.1, x)),
+    ("seed", 0, lambda x: run_chains(PATH4_INST, 5, 2, x)),
+    ("steps", 0, lambda x: run_chains(PATH4_INST, x, 2, 0)),
+    ("n_chains", 0, lambda x: run_chains(PATH4_INST, 5, x, 0)),
+    ("trials", 2, lambda x: coupled_drift_estimate(PATH4_INST, x, 0)),
+    ("seed", 0, lambda x: coupled_drift_estimate(PATH4_INST, 10, x)),
+    ("seed", 0, lambda x: coupled_exploration(PINNED, {0: 1}, {0: -1}, x)),
+    ("seed", 0, lambda x: coupled_exploration_sweep(PINNED, {0: 1}, {0: -1}, 3, x)),
+    ("trials", 1, lambda x: coupled_exploration_sweep(PINNED, {0: 1}, {0: -1}, x, 0)),
+    ("seed", 0, lambda x: decay(3, x)),
+    ("trials", 1, lambda x: decay(x, 0)),
+    ("n", 1, lambda x: gen_er_graph(x, 2.0, 0)),
+    ("seed", 0, lambda x: gen_er_graph(5, 2.0, x)),
+    ("n", 1, lambda x: gen_fields(x, GAUSS, 0)),
+    ("seed", 0, lambda x: gen_fields(5, GAUSS, x)),
+    ("ell_max", 1, lambda x: neighborhood_growth(PATH4, 0, x)),
+    ("ell_max", 1, lambda x: neighborhood_growth(PATH4, 0, x, in_saw_tree=True)),
+    ("ell", 0, lambda x: G.sphere(PATH4, 0, x)),
+    ("cut_depth", 0, lambda x: SawWalker(PATH4_INST).walk(0, {}, x)),
+])
+def test_every_integer_argument_is_checked(what, low, call):
+    for bad in (1.5, True, "1", low - 1):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer >= {low}, got {re.escape(repr(bad))}$"):
+            call(bad)
+    np.testing.assert_equal(call(np.int64(low + 2)), call(low + 2))
+
+
+# every public real argument, a valid value of it and the start of the
+# message that rejects it
+@pytest.mark.parametrize("message, good, call", [
+    ("beta must be a finite real", 0.5,
+     lambda x: exact_partition(IsingInstance(PATH4, x, [0.1, -0.2, 0.3, 0.0]))),
+    ("field at vertex 1 must be a finite real", -0.2,
+     lambda x: exact_partition(IsingInstance(PATH4, 0.5, [0.1, x, 0.3, 0.0]))),
+    ("eps must lie in (0,1)", 0.1, lambda x: approx_partition(PATH4_INST, x)),
+    ("h0 must be a non-negative finite number", 1.0, lambda x: check_instance(PATH4_INST, 0.1, h0=x)),
+    ("kind 'gaussian' takes a finite variance", 2.0,
+     lambda x: gen_fields(5, FieldSpec("gaussian", variance=x), 0)),
+    ("kind 'two_point' takes a finite magnitude", 2.0,
+     lambda x: gen_fields(5, FieldSpec("two_point", magnitude=x), 0)),
+    ("probabilities must lie in [0,1]", 0.5,
+     lambda x: connection_probability(SitePercolationSpec(PATH4, [0.5, x, 0.5, 0.5], {0}), {3}, 50, 0)),
+    ("delta must be a finite real", 2.0, lambda x: gen_er_graph(5, x, 0)),
+])
+def test_every_real_argument_is_checked(message, good, call):
+    for bad in (True, "0.5", 1j, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            call(bad)
+    np.testing.assert_equal(call(np.float64(good)), call(good))
 
 
 def test_from_edges_rejects_non_integer_n():
