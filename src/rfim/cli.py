@@ -11,7 +11,7 @@ SAW-tree nodes, in `count`, `sample` or `grow --saw-tree`; the message
 names the walk's vertex, and its tau when it prunes).  A forced `--depth`
 gives no eps guarantee: `count` and `sample` only report their bound, `tau`
 null and `depth` the forced one; otherwise `tau` is the smallest tau a step
-walked at.
+walked at, or null when no step walked.
 
 Each run parameter has one source.  `exact` caps at
 `model.ENUMERATION_CAP` free vertices, which no option lifts; `perc` reads
@@ -281,31 +281,22 @@ def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentPars
     return p
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, which `rfim -h` prints."""
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of every subcommand, which `rfim -h` prints; when argv[0]
+    names a subcommand, the parser of that one alone, whose help, usage
+    line and errors are the full parser's."""
     parser = argparse.ArgumentParser(prog="rfim")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    one = argv[:1] if argv and argv[0] in SUBCOMMANDS else ()
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar="{" + ",".join(SUBCOMMANDS) + "}" if one else None)
+    for name in one or SUBCOMMANDS:
         _add_options(sub.add_parser(name), name)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, from the invoked subcommand's
-    parser alone (same prog, so the same help and errors) unless argv has
-    no subcommand first or leaves arguments over."""
-    if argv and argv[0] in SUBCOMMANDS:
-        p = _add_options(argparse.ArgumentParser(prog=f"rfim {argv[0]}"), argv[0])
-        args, rest = p.parse_known_args(argv[1:])
-        if not rest:
-            args.subcommand = argv[0]
-            return args
-    return build_parser().parse_args(argv)
-
-
 def cli_dispatch(argv: list[str]) -> int:
     try:
-        args = _parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:

@@ -64,7 +64,7 @@ class CountResult(NamedTuple):
     total_certified_relative_error: float
     # forced depth (None = untruncated), else the steps' deepest SawWalk.depth
     depth_used: int | None
-    tau: float | None  # the steps' smallest tau; None at a forced depth
+    tau: float | None  # the steps' smallest tau; None at a forced depth or with no step
 
 
 class SampleResult(NamedTuple):
@@ -126,8 +126,10 @@ def default_h0(delta: int, beta: float) -> float:
 
 
 def choose_depth(n: int, eps: float, c1: float) -> int:
-    """Truncation depth ceil(log(4n/eps)/c1), and 1 at c1 = inf."""
+    """Truncation depth ceil(log(4n/eps)/c1), and 1 at c1 = inf; n is an
+    integer >= 1."""
     check_eps(eps)
+    n = integer(n, "n", 1)
     if c1 <= 0.0:
         raise ValueError("no certified rate: c1 must be > 0")
     if math.isinf(c1):
@@ -204,7 +206,7 @@ def _pass(inst: IsingInstance, walker: SawWalker, frontier, pick, relative: bool
     if tau is None:
         return config, steps, cut, None
     return (config, steps, max((s.depth for s in steps), default=0),
-            min((s.tau for s in steps), default=tau))
+            min((s.tau for s in steps), default=None))
 
 
 def approx_partition(
@@ -322,7 +324,7 @@ def check_instance(inst: IsingInstance, eps: float, h0: float | None = None) -> 
                                  reason=f"influence condition fails at h0={h0:.4g}", nodes=0)
     # the paper's ell0 = ceil(log max(n, 2) / rate) never binds: for
     # eps < 1, 4n/eps > max(n, 2), and at rate = inf both terms give depth 1
-    depth = choose_depth(inst.graph.n, eps, rate)
+    depth = choose_depth(max(inst.graph.n, 1), eps, rate)
     tau = eps / (4.0 * max(inst.graph.n, 1)) / 100.0
 
     walker = SawWalker(inst, h0)

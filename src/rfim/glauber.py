@@ -31,8 +31,10 @@ def conditional_plus_probability(inst: IsingInstance, config: np.ndarray, x: int
 
 def mixing_time_bound(n: int, delta: int, beta: float, h_min: float, eps: float) -> int | None:
     """Path-coupling mixing-time bound, or None (no guarantee) when the
-    per-step contraction delta*M(delta, h_min, beta) < 1 fails."""
+    per-step contraction delta*M(delta, h_min, beta) < 1 fails; n is an
+    integer >= 1."""
     check_eps(eps)
+    n = integer(n, "n", 1)
     contraction = 1.0 - delta * influence_bound(delta, h_min, beta)
     if contraction <= 0.0:
         return None

@@ -62,6 +62,9 @@ class Estimate(NamedTuple):
 
 def wilson_interval(successes: int, trials: int) -> Estimate:
     trials = integer(trials, "trials", 1)
+    successes = integer(successes, "successes", 0)
+    if successes > trials:
+        raise ValueError(f"successes must be <= trials, got {successes} > {trials}")
     z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -309,7 +312,8 @@ def averaged_decay_profile(
     """Field-averaged connection probabilities from x, per distance class.
 
     `field_sampler(rng)` returns one realization of the per-vertex fields,
-    drawn from a numpy generator seeded with `seed`.  For each trial the site
+    n finite reals (`rfim.model.finite`), drawn from a numpy generator
+    seeded with `seed`; beta is a finite real too.  For each trial the site
     probabilities are M(deg, h, beta); the same generator's `random()` then
     decides x, which is open when that draw lies below p[x], and only an
     open x has `_cluster_hits` grow its open cluster with further draws.
@@ -318,6 +322,8 @@ def averaged_decay_profile(
     """
     import numpy as np
 
+    if not finite(beta):
+        raise ValueError(f"beta must be a finite real, got {beta!r}")
     trials = integer(trials, "trials", 1)
     rng = np.random.default_rng(integer(seed, "seed", 0))
     dist = bfs_distances(g, x)
@@ -328,7 +334,9 @@ def averaged_decay_profile(
     hits = dict.fromkeys(sizes, 0)
     nowhere = bytearray(g.n)
     for _ in range(trials):
-        h = np.asarray(field_sampler(rng), dtype=float)
+        h = field_sampler(rng)
+        if not (hasattr(h, "__len__") and len(h) == g.n and all(map(finite, h))):
+            raise ValueError(f"field_sampler must return {g.n} finite reals")
         p = [influence_bound(g.degree(v), h[v], beta) for v in range(g.n)]
         state = bytearray(g.n)
         if rng.random() < p[x]:

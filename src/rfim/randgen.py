@@ -134,6 +134,7 @@ def gen_fields(n: int, spec: FieldSpec, seed: int) -> np.ndarray:
 
 
 def fields_to_json_dict(h: np.ndarray, spec: FieldSpec, seed: int) -> dict:
+    seed = integer(seed, "seed", 0)  # a Python int, which json.dumps takes
     spec_obj = {"kind": spec.kind, "generator": GENERATOR_VERSION}
     if spec.kind == "gaussian":
         spec_obj["variance"] = spec.variance

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import graph as graphmod
 from .model import IsingInstance, expit, influence_bound
 
 
@@ -57,13 +58,13 @@ def build_saw_tree(
     incident-edge order at u, i.e. when v_k > v_{j+1}.
 
     `frontier_spin` may be +1, -1, or None (leave the frontier free); frontier
-    leaves are tagged so error accounting can find them.
+    leaves are tagged so error accounting can find them.  `root` and
+    `cut_depth` are checked as `SawWalker.walk` checks them.
     """
     g = inst.graph
-    if not 0 <= root < g.n:
-        raise IndexError(f"root {root} out of range")
-    if cut_depth is not None and cut_depth < 0:
-        raise ValueError("cut_depth must be >= 0")
+    root = graphmod.vertex(g.n, root, "root")
+    if cut_depth is not None:
+        cut_depth = graphmod.integer(cut_depth, "cut_depth", 0)
     h = inst.fields
     boundary = inst.boundary
     count = 0

@@ -368,6 +368,22 @@ def test_one_subcommand_parser_matches_the_full_parser(capsys):
         assert capsys.readouterr() == (full, "")
 
 
+def test_a_run_builds_the_parser_of_its_subcommand_alone(monkeypatch, capsys):
+    from rfim import cli
+
+    added = []
+    add = cli._add_options
+    monkeypatch.setattr(cli, "_add_options", lambda p, name: added.append(name) or add(p, name))
+    # leftover arguments fail in the same parser, with the full usage line
+    assert cli.cli_dispatch(["count", "--instance", "x", "bogus"]) == 1
+    assert added == ["count"]
+    usage = cli.build_parser().format_usage()
+    assert capsys.readouterr().err == usage + "rfim: error: unrecognized arguments: bogus\n"
+    added.clear()
+    assert cli.cli_dispatch(["-h"]) == 0
+    assert added == list(cli.SUBCOMMANDS)
+
+
 @pytest.mark.parametrize("argv, code, last", [
     ([], 1, "rfim: error: the following arguments are required: subcommand"),
     (["-h"], 0, None),
@@ -739,6 +755,18 @@ def test_count_and_sample_report_tau(triangle_instance):
     forced = json.loads(res.stdout)
     assert forced["tau"] is None and forced["depth"] == 2
     assert forced["tv_budget"] > 0.1  # the default eps
+
+
+def test_count_and_sample_tau_is_null_without_free_vertices(tmp_path, capsys):
+    from rfim.cli import cli_dispatch
+
+    path = tmp_path / "inst.json"
+    M.save(IsingInstance(Graph.from_edges(2, [(0, 1)]), 1.0, np.zeros(2), {0: 1, 1: -1}), str(path))
+    for sub in ("count", "sample"):
+        capsys.readouterr()
+        assert cli_dispatch([sub, "--instance", str(path)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["tau"] is None and obj["depth"] == 0, (sub, obj)
 
 
 def test_grow_subcommand(tmp_path):

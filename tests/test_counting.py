@@ -420,6 +420,16 @@ def test_check_all_fixed_reports_float_zero():
     assert type(report.certified_rel_err) is float and report.certified_rel_err == 0.0
 
 
+def test_no_free_vertex_walks_no_step():
+    # no step walked, so there is no tau to report and no depth reached
+    g = Graph.from_edges(2, [(0, 1)])
+    inst = IsingInstance(g, 1.0, np.zeros(2), {0: 1, 1: -1})
+    for res in (approx_partition(inst, 0.1), approx_sample(inst, 0.1, 0)):
+        assert res.tau is None and res.depth_used == 0
+    # check_instance takes an empty graph's n as 1 for its depth
+    assert check_instance(IsingInstance(Graph.from_edges(0, []), 1.0, []), 0.1).depth == 1
+
+
 def test_count_result_fields_consistent():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     inst = IsingInstance(g, 0.3, np.array([4.0, 4.0, 4.0]))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rfim import graph as G
-from rfim.counting import approx_partition, approx_sample, check_instance, sample_many
-from rfim.glauber import coupled_drift_estimate, glauber_sample, run_chains
+from rfim.counting import approx_partition, approx_sample, check_instance, choose_depth, sample_many
+from rfim.glauber import coupled_drift_estimate, glauber_sample, mixing_time_bound, run_chains
 from rfim.graph import Graph, GraphFormatError, UNREACHABLE
 from rfim.model import IsingInstance, exact_marginal, exact_partition, exact_region_law
 from rfim.percolation import (
@@ -16,9 +16,11 @@ from rfim.percolation import (
     connection_probability,
     coupled_exploration,
     coupled_exploration_sweep,
+    wilson_interval,
 )
-from rfim.randgen import FieldSpec, gen_er_graph, gen_fields, neighborhood_growth
+from rfim.randgen import FieldSpec, fields_to_json_dict, gen_er_graph, gen_fields, neighborhood_growth
 from rfim.sawtree import SawWalker
+from rfim.sawtree_oracle import build_saw_tree
 
 from conftest import random_connected_graph
 
@@ -156,6 +158,7 @@ PATH4_SPEC = SitePercolationSpec(PATH4, [0.5] * 4, frozenset({0}))
     ("source", lambda v: G.sphere(PATH4, v, 1)),
     ("root", lambda v: SawWalker(PATH4_INST).walk(v, {})),
     ("root", lambda v: SawWalker(PATH4_INST, h0=1.0).walk(v, {}, 2)),
+    ("root", lambda v: build_saw_tree(PATH4_INST, v)),
     ("marginal", lambda v: exact_marginal(PATH4_INST, v)),
     ("region", lambda v: exact_region_law(PATH4_INST, [v])),
     ("centre", lambda v: neighborhood_growth(PATH4, v, 2)),
@@ -179,6 +182,11 @@ GAUSS = FieldSpec("gaussian", variance=1.0)
 
 def decay(trials, seed):
     return averaged_decay_profile(PATH4, lambda rng: rng.normal(size=4), 0.5, 0, trials, seed)
+
+
+def oracle_tree(cut_depth):
+    tree = build_saw_tree(PATH4_INST, 0, cut_depth)
+    return tree.cut_depth, tree.node_count
 
 
 # every public integer argument, its lowest value and the name its check
@@ -207,6 +215,11 @@ def decay(trials, seed):
     ("ell_max", 1, lambda x: neighborhood_growth(PATH4, 0, x, in_saw_tree=True)),
     ("ell", 0, lambda x: G.sphere(PATH4, 0, x)),
     ("cut_depth", 0, lambda x: SawWalker(PATH4_INST).walk(0, {}, x)),
+    ("cut_depth", 0, oracle_tree),
+    ("successes", 0, lambda x: wilson_interval(x, 10)),
+    ("n", 1, lambda x: choose_depth(x, 0.1, 0.5)),
+    ("n", 1, lambda x: mixing_time_bound(x, 3, 0.3, 5.0, 0.1)),
+    ("seed", 0, lambda x: fields_to_json_dict(np.zeros(2), GAUSS, x)),
 ])
 def test_every_integer_argument_is_checked(what, low, call):
     for bad in (1.5, True, "1", low - 1):
@@ -231,6 +244,10 @@ def test_every_integer_argument_is_checked(what, low, call):
     ("probabilities must lie in [0,1]", 0.5,
      lambda x: connection_probability(SitePercolationSpec(PATH4, [0.5, x, 0.5, 0.5], {0}), {3}, 50, 0)),
     ("delta must be a finite real", 2.0, lambda x: gen_er_graph(5, x, 0)),
+    ("beta must be a finite real", 0.8,
+     lambda x: averaged_decay_profile(PATH4, lambda rng: rng.normal(size=4), x, 0, 3, 0)),
+    ("field_sampler must return 4 finite reals", -0.2,
+     lambda x: averaged_decay_profile(PATH4, lambda rng: [0.1, x, 0.3, 0.0], 0.5, 0, 3, 0)),
 ])
 def test_every_real_argument_is_checked(message, good, call):
     for bad in (True, "0.5", 1j, math.nan, math.inf):

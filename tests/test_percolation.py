@@ -235,6 +235,11 @@ def test_wilson_interval_basics():
         wilson_interval(0, 0)
 
 
+def test_wilson_interval_rejects_more_successes_than_trials():
+    with pytest.raises(ValueError, match="^successes must be <= trials, got 5 > 3$"):
+        wilson_interval(5, 3)
+
+
 def test_wilson_interval_contains_p_hat():
     for trials in range(1, 301):
         for successes in range(trials + 1):

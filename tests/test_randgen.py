@@ -139,6 +139,12 @@ def test_fields_file_round_trip(tmp_path):
         assert np.array_equal(np.array(obj["h"]), h)
 
 
+def test_fields_json_records_a_numpy_seed_as_an_int():
+    # gen_fields takes a numpy seed, so the record of its run must too
+    obj = R.fields_to_json_dict(np.zeros(2), FieldSpec("gaussian", variance=1.0), np.int64(3))
+    assert json.loads(json.dumps(obj))["seed"] == 3
+
+
 def test_field_spec_validation():
     with pytest.raises(ValueError):
         FieldSpec("exotic")
